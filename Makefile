@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint vuln cover bench bench-json bench-mem bench-serve bench-mmap bench-scale bench-scale-short bench-segments bench-ingest serve-test ingest-test diff-test diff-check passes-test fuzz-seed ci
+.PHONY: build test race vet lint vuln cover bench bench-mem perfbench-smoke serve-test ingest-test diff-test diff-check passes-test fuzz-seed ci
 
 build:
 	$(GO) build ./...
@@ -61,15 +61,16 @@ cover:
 bench:
 	$(GO) test -run xxx -bench 'ParallelCompact|ConcurrentExtract|Table' -benchtime 1x .
 
-# Machine-readable perf snapshot (BENCH_*.json trajectory format),
-# including the batch-vs-streaming memory comparison.
-bench-json:
-	$(GO) run ./cmd/twpp-bench -scale 0.25 -table 1 -maxfuncs 20 -json BENCH_$(shell date +%Y%m%d).json
-
 # Peak-heap comparison of the batch and streaming compaction pipelines
 # (one iteration each; fast enough for local runs and CI).
 bench-mem:
 	$(GO) test -run xxx -bench StreamCompact -benchtime 1x .
+
+# The benchmark's own build and correctness checks (perfbench/ is a
+# separate module, outside `go test ./...`). Timed runs go through
+# `python3 perfbench/run.py`; see perfbench/README.md.
+perfbench-smoke:
+	cd perfbench && $(GO) test .
 
 # Serving-layer gate: the full server test suite — parity oracle over
 # every generator shape, the 16-client load soak, and the corruption
@@ -85,51 +86,6 @@ serve-test:
 # end-to-end serve parity acceptance — under the race detector.
 ingest-test:
 	$(GO) test -race ./internal/ingest/ ./cmd/twpp-ingest/
-
-# Ingest throughput snapshot (BENCH_*_ingest.json trajectory format):
-# a 16-producer fleet over real sockets — events/s, seal latency from
-# the server's histogram, and server-side peak heap.
-bench-ingest:
-	INGEST_BENCH_OUT=$(CURDIR)/BENCH_$(shell date +%Y%m%d)_ingest.json \
-		$(GO) test -run TestWriteIngestBenchJSON -v ./internal/ingest/
-
-# Serving throughput/latency snapshot (BENCH_*_serve.json trajectory
-# format): the 16-client mixed workload over a real listener.
-bench-serve:
-	SERVE_BENCH_OUT=$(CURDIR)/BENCH_$(shell date +%Y%m%d)_serve.json \
-		$(GO) test -run TestWriteServeBenchJSON -v ./internal/server/
-
-# Multi-core serving scale-out (BENCH_*_scale.json trajectory format):
-# the full request path swept over GOMAXPROCS 1/4/8 with 4 clients per
-# proc, plus the in-process pooled-extraction sweep. The JSON records
-# num_cpu: on single-core hosts the curve is expectedly flat.
-bench-scale:
-	SCALE_BENCH_OUT=$(CURDIR)/BENCH_$(shell date +%Y%m%d)_scale.json \
-		$(GO) test -run TestWriteScaleBenchJSON -v ./internal/server/
-	$(GO) test -run xxx -bench PooledExtractScale -benchtime 1x .
-
-# CI smoke of the scale sweep: tiny request counts, throwaway output —
-# exercises the GOMAXPROCS axis and the JSON writer without the cost.
-bench-scale-short:
-	SCALE_BENCH_OUT=$(CURDIR)/.bench_scale_ci.json SCALE_BENCH_SHORT=1 \
-		$(GO) test -run TestWriteScaleBenchJSON ./internal/server/
-	@rm -f $(CURDIR)/.bench_scale_ci.json
-
-# Segmented-container extraction sweep (BENCH_*_segments.json
-# trajectory format): warm pooled extraction as the segment count grows
-# 1/4/16, before and after background merges. The flat-latency gate:
-# the printed worst-case multi-segment ratio should stay near 1x.
-bench-segments:
-	$(GO) run ./cmd/twpp-bench -scale 0.25 -table 1 -maxfuncs 20 -segments \
-		-json BENCH_$(shell date +%Y%m%d)_segments.json
-
-# Storage-backend comparison (BENCH_*_mmap.json trajectory format):
-# uncached concurrent extraction through positioned file reads vs a
-# read-only memory mapping, same compacted file and workload.
-bench-mmap:
-	MMAP_BENCH_OUT=$(CURDIR)/BENCH_$(shell date +%Y%m%d)_mmap.json \
-		$(GO) test -run TestWriteMmapBenchJSON -v .
-	$(GO) test -run xxx -bench 'ConcurrentExtract/backend' -benchtime 1x .
 
 # Differential gate: the diff engine's metamorphic matrix (7 shapes ×
 # {v1,v2,segmented} × {file,mmap,memory}), the perturbation-injection
@@ -177,4 +133,4 @@ fuzz-seed:
 	$(GO) test -run 'FuzzDiffCompacted' ./internal/diff/
 	$(GO) test -run 'FuzzAnalyzePass' ./internal/passes/
 
-ci: lint vuln build test race serve-test ingest-test diff-test diff-check passes-test fuzz-seed cover bench-mem bench-mmap bench-scale-short
+ci: lint vuln build test race serve-test ingest-test diff-test diff-check passes-test fuzz-seed cover bench-mem perfbench-smoke

@@ -386,8 +386,7 @@ func BenchmarkParallelCompact(b *testing.B) {
 // file reads vs a read-only memory mapping) and the decode cache off
 // and on. With the cache enabled, every post-warmup extraction is a
 // hit and skips both the read and the decode; the hit rate is
-// reported. The uncached backend pair is the file-vs-mmap delta
-// `make bench-mmap` records.
+// reported.
 func BenchmarkConcurrentExtract(b *testing.B) {
 	w := buildWorkload(b, "126.gcc-like")
 	c, _ := wpp.Compact(w)
@@ -426,50 +425,6 @@ func BenchmarkConcurrentExtract(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkPooledExtractScale sweeps warm pooled extraction
-// (ExtractFunctionInto, decode cache off, one private ExtractBuffer
-// per goroutine) over the GOMAXPROCS 1/4/8 axis — the in-process half
-// of the multi-core scale-out story `make bench-scale` records for
-// the serving path. allocs/op must read 0 at every point; ns/op is
-// the per-extract latency. The axis is clamped to NumCPU: points past
-// it would measure one core's scheduler overhead, not scale-out.
-func BenchmarkPooledExtractScale(b *testing.B) {
-	w := buildWorkload(b, "126.gcc-like")
-	c, _ := wpp.Compact(w)
-	path := b.TempDir() + "/scale.twpp"
-	if err := wppfile.WriteCompacted(path, core.FromCompacted(c)); err != nil {
-		b.Fatal(err)
-	}
-	for _, procs := range bench.ClampProcs(bench.DefaultScaleProcs, false) {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			old := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(old)
-			cf, err := wppfile.OpenCompactedOptions(path, wppfile.OpenOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cf.Close()
-			fns := cf.Functions()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				buf := wppfile.GetExtractBuffer()
-				defer wppfile.PutExtractBuffer(buf)
-				// Warm this goroutine's buffer outside the measured ops
-				// would require StopTimer coordination; instead the first
-				// len(fns) iterations amortize to zero against b.N.
-				i := 0
-				for pb.Next() {
-					if _, err := cf.ExtractFunctionInto(fns[i%len(fns)], buf); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-		})
 	}
 }
 

@@ -4,27 +4,20 @@
 //
 // Usage:
 //
-//	twpp-bench [-scale f] [-dir path] [-j workers] [-json out.json]
-//	           [-scale-procs 1,4,8] [-force-procs] [-segments]
-//	           [-table N | -figure N | -all]
+//	twpp-bench [-scale f] [-dir path] [-j workers] [-maxfuncs N]
+//	           [-ablation] [-table N | -figure N]
 //
-// With -all (the default) every table (1-6) and figure (8-12) is
-// produced. Tables 4 and 5 involve per-function timing runs and
-// dominate the runtime. -json additionally writes a machine-readable
-// report (compaction throughput and extraction latency per profile,
-// the BENCH_*.json trajectory format); -j sizes the compaction worker
-// pool. -scale-procs sweeps warm pooled extraction over a GOMAXPROCS
-// axis, clamped to NumCPU unless -force-procs marks the
-// oversubscribed points explicitly; -segments sweeps segmented
-// containers over a growing segment count, pre- and post-merge.
+// With neither -table nor -figure every table (1-6) and figure (8-12)
+// is produced. Tables 4 and 5 involve per-function timing runs and
+// dominate the runtime; -j sizes the compaction worker pool. Timed
+// performance measurements with repetitions and spread come from the
+// repository's benchmark, perfbench/.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"twpp/internal/bench"
 	"twpp/internal/cli"
@@ -33,43 +26,19 @@ import (
 
 func main() {
 	var (
-		scale      = flag.Float64("scale", 1.0, "workload scale factor (driver iterations multiplier)")
-		dir        = flag.String("dir", "", "directory for generated WPP files (default: a temp dir)")
-		table      = flag.Int("table", 0, "regenerate only this table (1-6)")
-		figure     = flag.Int("figure", 0, "regenerate only this figure (8-12)")
-		ablation   = flag.Bool("ablation", false, "also print the design-decision ablation study")
-		maxFuncs   = flag.Int("maxfuncs", 40, "cap on functions measured per benchmark in timing experiments (0 = all)")
-		workers    = flag.Int("j", 0, "compaction worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		jsonOut    = flag.String("json", "", "also write a machine-readable benchmark report to this file")
-		scaleProcs = flag.String("scale-procs", "", "comma-separated GOMAXPROCS points for the extraction scale-out sweep (e.g. 1,4,8)")
-		forceProcs = flag.Bool("force-procs", false, "run -scale-procs points past NumCPU instead of clamping; such runs are marked oversubscribed")
-		segments   = flag.Bool("segments", false, "also sweep segmented-container extraction as segment count grows 1/4/16, pre- and post-merge")
+		scale    = flag.Float64("scale", 1.0, "workload scale factor (driver iterations multiplier)")
+		dir      = flag.String("dir", "", "directory for generated WPP files (default: a temp dir)")
+		table    = flag.Int("table", 0, "regenerate only this table (1-6)")
+		figure   = flag.Int("figure", 0, "regenerate only this figure (8-12)")
+		ablation = flag.Bool("ablation", false, "also print the design-decision ablation study")
+		maxFuncs = flag.Int("maxfuncs", 40, "cap on functions measured per benchmark in timing experiments (0 = all)")
+		workers  = flag.Int("j", 0, "compaction worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
-	cli.Exit("twpp-bench", run(*scale, *dir, *table, *figure, *maxFuncs, *workers, *jsonOut, *scaleProcs, *forceProcs, *segments, *ablation))
+	cli.Exit("twpp-bench", run(*scale, *dir, *table, *figure, *maxFuncs, *workers, *ablation))
 }
 
-// parseProcs parses the -scale-procs list.
-func parseProcs(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return nil, cli.Usagef("bad -scale-procs entry %q", p)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, cli.Usagef("-scale-procs lists no points")
-	}
-	return out, nil
-}
-
-func run(scale float64, dir string, table, figure, maxFuncs, workers int, jsonOut, scaleProcs string, forceProcs, segments, ablation bool) error {
+func run(scale float64, dir string, table, figure, maxFuncs, workers int, ablation bool) error {
 	out := os.Stdout
 
 	// Figures 9-12 are worked examples independent of the workload
@@ -114,7 +83,7 @@ func run(scale float64, dir string, table, figure, maxFuncs, workers int, jsonOu
 		fmt.Fprintln(out)
 	}
 	var timings []*bench.ExtractTiming
-	if want(4) || jsonOut != "" {
+	if want(4) {
 		for _, r := range results {
 			t, err := bench.MeasureExtraction(r, maxFuncs)
 			if err != nil {
@@ -122,8 +91,6 @@ func run(scale float64, dir string, table, figure, maxFuncs, workers int, jsonOu
 			}
 			timings = append(timings, t)
 		}
-	}
-	if want(4) {
 		bench.Table4(out, results, timings)
 		fmt.Fprintln(out)
 	}
@@ -167,68 +134,6 @@ func run(scale float64, dir string, table, figure, maxFuncs, workers int, jsonOu
 			fmt.Fprintln(out)
 		}
 		bench.Summary(out, results, timings)
-	}
-	var scaleRep *bench.ScaleReport
-	if scaleProcs != "" {
-		procs, err := parseProcs(scaleProcs)
-		if err != nil {
-			return err
-		}
-		// Sweep the hottest profile's compacted file: the scale curve
-		// needs one representative workload, not all five.
-		scaleRep, err = bench.RunExtractScale(results[0].CompPath, procs, 0, forceProcs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "Extraction scale-out (%s):\n", scaleRep.Note)
-		for _, r := range scaleRep.Runs {
-			over := ""
-			if r.Oversubscribed {
-				over = "  (oversubscribed)"
-			}
-			fmt.Fprintf(out, "  GOMAXPROCS=%-2d %10.0f extracts/s  %8d ns/extract  %.2f allocs/op%s\n",
-				r.GoMaxProcs, r.OpsPerS, r.NsPerExtract, r.AllocsPerOp, over)
-		}
-		if sp := scaleRep.Speedup(); sp > 0 {
-			fmt.Fprintf(out, "  speedup %d -> %d procs: %.2fx\n\n",
-				scaleRep.Runs[0].GoMaxProcs, scaleRep.Runs[len(scaleRep.Runs)-1].GoMaxProcs, sp)
-		}
-	}
-	var segRep *bench.ScaleReport
-	if segments {
-		segRep, err = bench.RunSegmentScale(results[0].CompPath, dir, nil, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "Segmented extraction (warm pooled path, 1 worker):")
-		for _, r := range segRep.Runs {
-			state := "live"
-			if r.Merged {
-				state = "merged"
-			}
-			fmt.Fprintf(out, "  segments=%-3d %-6s %8d ns/extract  %.2f allocs/op\n",
-				r.Segments, state, r.NsPerExtract, r.AllocsPerOp)
-		}
-		if ratio := segRep.SegmentLatencyRatio(); ratio > 0 {
-			fmt.Fprintf(out, "  worst live multi-segment latency: %.2fx the single-segment baseline\n\n", ratio)
-		}
-	}
-	if jsonOut != "" {
-		var mems []*bench.MemoryStats
-		for _, r := range results {
-			m, err := bench.MeasureMemory(r, workers)
-			if err != nil {
-				return err
-			}
-			mems = append(mems, m)
-		}
-		rep := bench.BuildJSONReport(scale, workers, results, timings, mems)
-		rep.ScaleOut = scaleRep
-		rep.SegmentScale = segRep
-		if err := rep.WriteJSON(jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonOut)
 	}
 	return nil
 }

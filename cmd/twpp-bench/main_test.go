@@ -1,93 +1,23 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"twpp/internal/bench"
-)
+import "testing"
 
 func TestRunSingleTableTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all profiles")
 	}
 	dir := t.TempDir()
-	jsonOut := filepath.Join(dir, "bench.json")
-	if err := run(0.02, dir, 1, 0, 2, 2, jsonOut, "1,2", false, true, false); err != nil {
+	if err := run(0.02, dir, 1, 0, 2, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonOut)
-	if err != nil {
-		t.Fatalf("-json output missing: %v", err)
-	}
-	var rep bench.JSONReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("-json output unparsable: %v", err)
-	}
-	if len(rep.Profiles) != len(bench.Profiles()) {
-		t.Errorf("json profiles = %d, want %d", len(rep.Profiles), len(bench.Profiles()))
-	}
-	for _, p := range rep.Profiles {
-		if p.ThroughputMBPerS <= 0 {
-			t.Errorf("%s: non-positive compaction throughput", p.Name)
-		}
-		if p.ExtractAvgNs <= 0 || p.ExtractSpeedupOverRaw <= 0 {
-			t.Errorf("%s: missing extraction latency (%d ns, %.2fx)",
-				p.Name, p.ExtractAvgNs, p.ExtractSpeedupOverRaw)
-		}
-	}
-	if rep.ScaleOut == nil {
-		t.Error("-scale-procs set but json has no scale_out section")
-	} else {
-		// The requested 1,2 axis is clamped to NumCPU by default, so
-		// the honest point count depends on the host.
-		want := len(bench.ClampProcs([]int{1, 2}, false))
-		if rep.ScaleOut.NumCPU < 1 || len(rep.ScaleOut.Runs) != want {
-			t.Errorf("malformed scale_out (want %d clamped runs): %+v", want, rep.ScaleOut)
-		}
-		for _, r := range rep.ScaleOut.Runs {
-			if r.OpsPerS <= 0 || r.NsPerExtract <= 0 {
-				t.Errorf("scale_out point GOMAXPROCS=%d has no throughput", r.GoMaxProcs)
-			}
-			if r.Oversubscribed {
-				t.Errorf("clamped sweep produced an oversubscribed point: %+v", r)
-			}
-		}
-	}
-	if rep.SegmentScale == nil {
-		t.Error("-segments set but json has no segment_scale section")
-	} else {
-		// 1, 4, 16 live points plus a merged point for each
-		// multi-segment container.
-		if len(rep.SegmentScale.Runs) != 5 {
-			t.Errorf("segment_scale has %d runs, want 5: %+v", len(rep.SegmentScale.Runs), rep.SegmentScale)
-		}
-		var merged int
-		for _, r := range rep.SegmentScale.Runs {
-			if r.NsPerExtract <= 0 || r.Segments < 1 {
-				t.Errorf("segment_scale point %+v has no measurement", r)
-			}
-			if r.Merged {
-				merged++
-				if r.Segments != 1 {
-					t.Errorf("merged point still has %d segments", r.Segments)
-				}
-			}
-		}
-		if merged != 2 {
-			t.Errorf("segment_scale has %d merged points, want 2", merged)
-		}
-	}
-	if err := run(0.02, dir, 2, 0, 2, 1, "", "", false, false, false); err != nil {
+	if err := run(0.02, dir, 2, 0, 2, 1, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFigures(t *testing.T) {
 	for _, f := range []int{9, 10, 11, 12} {
-		if err := run(1, "", 0, f, 1, 1, "", "", false, false, false); err != nil {
+		if err := run(1, "", 0, f, 1, 1, false); err != nil {
 			t.Errorf("figure %d: %v", f, err)
 		}
 	}

@@ -53,28 +53,10 @@ type Result struct {
 	// call count.
 	Uniques, CallCounts []int
 
-	// Pipeline timings (with Workers goroutines): the three compaction
-	// transformations, the TWPP timestamp inversion, and the on-disk
-	// encode.
-	Workers     int
-	CompactTime time.Duration
-	TWPPTime    time.Duration
-	EncodeTime  time.Duration
-
 	// Artifacts.
 	TWPP     *core.TWPP
 	RawPath  string
 	CompPath string
-}
-
-// CompactThroughput reports compaction speed in raw-trace MB/s over
-// the whole compact+invert+encode pipeline.
-func (r *Result) CompactThroughput() float64 {
-	total := r.CompactTime + r.TWPPTime + r.EncodeTime
-	if total == 0 {
-		return 0
-	}
-	return float64(r.RawTraceBytes) / total.Seconds() / 1e6
 }
 
 // Run generates, executes, compacts, and serializes one benchmark
@@ -107,20 +89,16 @@ func RunWorkers(p Profile, scale float64, dir string, workers int) (*Result, err
 	}
 	w := builder.Finish()
 
-	res := &Result{Profile: p, Prog: cfgProg, StaticFuncs: len(prog.Funcs), Workers: workers}
+	res := &Result{Profile: p, Prog: cfgProg, StaticFuncs: len(prog.Funcs)}
 	res.Calls = w.NumCalls()
 	res.Blocks = w.NumBlocks()
 	res.RawDCGBytes, res.RawTraceBytes = w.RawSizes()
 
-	start := time.Now()
 	compacted, stats := wpp.CompactWorkers(w, workers)
-	res.CompactTime = time.Since(start)
 	res.Stats = stats
 	res.Uniques, res.CallCounts = compacted.UniqueTraceDistribution()
 
-	start = time.Now()
 	tw := core.FromCompactedWorkers(compacted, workers)
-	res.TWPPTime = time.Since(start)
 	res.TWPP = tw
 	res.TWPPTraceBytes, res.TWPPDictBytes = tw.SizeStats()
 	res.DynNodes, res.DynEdges = tw.DynamicGraphStats()
@@ -139,12 +117,10 @@ func RunWorkers(p Profile, scale float64, dir string, workers int) (*Result, err
 		if err := wppfile.WriteRaw(res.RawPath, w); err != nil {
 			return nil, err
 		}
-		start = time.Now()
 		data, err := wppfile.EncodeCompactedWorkers(tw, workers)
 		if err != nil {
 			return nil, err
 		}
-		res.EncodeTime = time.Since(start)
 		if err := os.WriteFile(res.CompPath, data, 0o644); err != nil {
 			return nil, err
 		}
@@ -160,11 +136,6 @@ func RunWorkers(p Profile, scale float64, dir string, workers int) (*Result, err
 		res.FileTotal = res.FileHeader + res.FileDCG + res.FileBlocks
 	}
 	return res, nil
-}
-
-// RunAll runs every profile sequentially.
-func RunAll(scale float64, dir string) ([]*Result, error) {
-	return RunAllWorkers(scale, dir, 1)
 }
 
 // RunAllWorkers runs every profile with the given compaction worker
@@ -197,22 +168,12 @@ func (r *Result) CompactionFactor() float64 {
 // ExtractTiming measures the time to extract a single function's path
 // traces from the uncompacted file (full scan) and from the compacted
 // indexed file (one seek). Every function present in the WPP is
-// measured once; avg and max are over functions, as in Table 4. A
-// second pass over the compacted file measures cache-served
-// extraction, and the decode cache's hit/miss counters are captured so
-// reports can verify the cache actually engaged.
+// measured once; avg and max are over functions, as in Table 4.
 type ExtractTiming struct {
 	AvgUncompacted, MaxUncompacted time.Duration
 	AvgCompacted, MaxCompacted     time.Duration
-	AvgCached, MaxCached           time.Duration
-	CacheHits, CacheMisses         uint64
 	Functions                      int
 }
-
-// defaultBenchCacheEntries sizes the decode cache for extraction
-// timing: large enough that the warm pass is all hits for every
-// benchmark profile.
-const defaultBenchCacheEntries = 1024
 
 // Speedup is the paper's headline ratio avg(U)/avg(C).
 func (t *ExtractTiming) Speedup() float64 {
@@ -223,17 +184,11 @@ func (t *ExtractTiming) Speedup() float64 {
 }
 
 // MeasureExtraction runs the Table 4 experiment on one benchmark's
-// files. maxFuncs caps the number of functions scanned on the slow
-// path (0 = all); the compacted path always measures all functions.
-// The compacted file is opened with the decode cache enabled: the
-// first pass measures cold (seek+decode) extraction and populates the
-// cache, the second pass measures cache-served extraction, and the
-// resulting hit/miss counters flow into the timing (they were silently
-// dropped before, so `twpp-bench -json` reported no cache activity).
+// files. maxFuncs caps the number of functions measured (0 = all) on
+// both paths. The compacted file is opened without a decode cache, so
+// every extraction is cold: one seek plus decode.
 func MeasureExtraction(r *Result, maxFuncs int) (*ExtractTiming, error) {
-	cf, err := wppfile.OpenCompactedOptions(r.CompPath, wppfile.OpenOptions{
-		CacheEntries: defaultBenchCacheEntries,
-	})
+	cf, err := wppfile.OpenCompacted(r.CompPath)
 	if err != nil {
 		return nil, err
 	}
@@ -270,23 +225,8 @@ func MeasureExtraction(r *Result, maxFuncs int) (*ExtractTiming, error) {
 			t.MaxCompacted = d
 		}
 	}
-	// Warm pass: the same extractions again, now cache-served (as a
-	// query server performs them after warmup).
-	for _, fn := range scanFns {
-		start := time.Now()
-		if _, err := cf.ExtractFunction(fn); err != nil {
-			return nil, err
-		}
-		d := time.Since(start)
-		t.AvgCached += d
-		if d > t.MaxCached {
-			t.MaxCached = d
-		}
-	}
 	t.AvgUncompacted /= time.Duration(len(scanFns))
 	t.AvgCompacted /= time.Duration(len(scanFns))
-	t.AvgCached /= time.Duration(len(scanFns))
-	t.CacheHits, t.CacheMisses = cf.CacheStats()
 	return t, nil
 }
 

@@ -1,36 +1,10 @@
 package bench
 
 import (
-	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
-
-	"twpp/internal/core"
-	"twpp/internal/wpp"
-	"twpp/internal/wppfile"
 )
-
-// MemoryStats compares the peak heap footprint of the batch compaction
-// pipeline (slurp file, compact, invert, encode to a byte slice)
-// against the streaming pipeline (bounded reader, online compaction,
-// writer-based encode) on the same raw WPP file.
-type MemoryStats struct {
-	BatchPeakHeap  uint64 // bytes above the pre-run baseline
-	BatchAllocs    uint64 // heap objects allocated during the run
-	StreamPeakHeap uint64
-	StreamAllocs   uint64
-}
-
-// Ratio is batch peak heap over streaming peak heap (> 1 means the
-// streaming pipeline is leaner).
-func (m *MemoryStats) Ratio() float64 {
-	if m.StreamPeakHeap == 0 {
-		return 0
-	}
-	return float64(m.BatchPeakHeap) / float64(m.StreamPeakHeap)
-}
 
 // PeakHeap runs fn and reports the peak heap growth (bytes above the
 // pre-call baseline) and the number of heap allocations it performed.
@@ -78,60 +52,4 @@ func PeakHeap(fn func() error) (peakBytes, mallocs uint64, err error) {
 	}
 	mallocs = final.Mallocs - base.Mallocs
 	return peakBytes, mallocs, err
-}
-
-// MeasureMemory runs both pipelines over r's raw WPP file and reports
-// their peak heap footprints. Output bytes go to io.Discard so only
-// pipeline working memory is measured.
-func MeasureMemory(r *Result, workers int) (*MemoryStats, error) {
-	m := &MemoryStats{}
-
-	var err error
-	m.BatchPeakHeap, m.BatchAllocs, err = PeakHeap(func() error {
-		w, err := wppfile.ReadRaw(r.RawPath)
-		if err != nil {
-			return err
-		}
-		c, _ := wpp.CompactWorkers(w, workers)
-		tw := core.FromCompactedWorkers(c, workers)
-		data, err := wppfile.EncodeCompactedWorkers(tw, workers)
-		if err != nil {
-			return err
-		}
-		_, err = io.Discard.Write(data)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	m.StreamPeakHeap, m.StreamAllocs, err = PeakHeap(func() error {
-		f, err := os.Open(r.RawPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fi, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		rr, err := wppfile.NewRawStreamReader(f, fi.Size())
-		if err != nil {
-			return err
-		}
-		s := core.NewStreamCompactor(rr.Names())
-		if err := rr.Replay(s); err != nil {
-			return err
-		}
-		tw, _, err := s.Finish()
-		if err != nil {
-			return err
-		}
-		_, err = wppfile.EncodeCompactedTo(io.Discard, tw, workers)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -129,19 +129,11 @@ func TestHTTPIngestBusy(t *testing.T) {
 	}
 	defer hold.Close()
 
-	h := s.Handler()
-	img := wppfile.EncodeRaw(w)
-	status := 0
-	var body []byte
-	// The TCP slot is taken asynchronously after Accept; poll briefly.
-	for i := 0; i < 500; i++ {
-		status, body = postBody(t, h, "/v1/ingest/m", img)
-		if status == http.StatusTooManyRequests {
-			break
-		}
-	}
+	awaitSlotsHeld(t, s, 1)
+
+	status, body := postBody(t, s.Handler(), "/v1/ingest/m", wppfile.EncodeRaw(w))
 	if status != http.StatusTooManyRequests {
-		t.Fatalf("never saw 429; last status %d: %s", status, body)
+		t.Fatalf("status %d, want 429: %s", status, body)
 	}
 	var er struct {
 		Code string `json:"code"`

@@ -240,42 +240,78 @@ func (s *Server) track(conn net.Conn, add bool) {
 // in-memory streams. Panics are contained per session and reported as
 // internal RESULTs — a hostile producer can be rejected, never crash
 // the server.
-func (s *Server) ServeSession(ctx context.Context, rw io.ReadWriter) (res Result) {
+func (s *Server) ServeSession(ctx context.Context, rw io.ReadWriter) Result {
+	res, finished := s.admitAndRun(ctx, rw)
+	// The RESULT goes out last, best-effort: the producer may have
+	// disconnected, and a dead writer must not mask the real outcome.
+	rw.Write(appendResult(nil, res))
+	if !finished {
+		drainUnread(rw)
+	}
+	return res
+}
+
+// admitAndRun takes a session slot and runs the session, reporting
+// whether the producer's FINISH was read. By the time it returns the
+// slot is free and the outcome is counted and logged, so a producer
+// that holds its RESULT never sees stale metrics.
+func (s *Server) admitAndRun(ctx context.Context, rw io.ReadWriter) (res Result, finished bool) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
 		s.mBusy.Inc()
-		res = Result{Status: StatusBusy, Code: "busy", Detail: "ingest: too many concurrent sessions"}
-		rw.Write(appendResult(nil, res))
-		return res
+		return Result{Status: StatusBusy, Code: "busy", Detail: "ingest: too many concurrent sessions"}, false
 	}
-	defer func() { <-s.sem }()
-
 	s.mActive.Inc()
-	defer s.mActive.Dec()
-
 	ss := &session{srv: s, rw: rw, buf: make([]byte, 4096)}
-	defer func() {
-		if p := recover(); p != nil {
-			s.mPanics.Inc()
-			s.mRejected.Inc()
-			res = Result{
-				Status: cli.ExitFailure,
-				Code:   cli.CodeName(cli.ExitFailure),
-				Detail: fmt.Sprintf("ingest: internal error: %v", p),
+	var stack []byte
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				s.mPanics.Inc()
+				stack = debug.Stack()
+				res = Result{
+					Status: cli.ExitFailure,
+					Code:   cli.CodeName(cli.ExitFailure),
+					Detail: fmt.Sprintf("ingest: internal error: %v", p),
+				}
 			}
-			rw.Write(appendResult(nil, res))
-			s.logSession(ss, res, debug.Stack())
-		}
+		}()
+		res = ss.run(ctx)
 	}()
-	res = ss.run(ctx)
+	s.mActive.Dec()
+	<-s.sem
 	if res.OK() {
 		s.mSealed.Inc()
 	} else {
 		s.mRejected.Inc()
 	}
-	s.logSession(ss, res, nil)
-	return res
+	s.logSession(ss, res, stack)
+	return res, ss.finished
+}
+
+// Bounds on reading what a producer still sends after an early
+// RESULT.
+const (
+	drainTimeout = time.Second
+	drainBytes   = 1 << 20
+)
+
+// drainUnread ends a session answered before its FINISH (busy, or
+// rejected mid-stream). Closing a TCP connection with unread input
+// makes the kernel send RST, which can destroy the RESULT before the
+// producer reads it. So half-close instead, and discard the producer's
+// remaining frames, bounded in time and bytes, before the caller
+// closes. Streams without CloseWrite are left alone.
+func drainUnread(rw io.ReadWriter) {
+	cw, ok := rw.(interface{ CloseWrite() error })
+	if !ok || cw.CloseWrite() != nil {
+		return
+	}
+	if d, ok := rw.(readDeadliner); ok {
+		d.SetReadDeadline(time.Now().Add(drainTimeout))
+	}
+	io.CopyN(io.Discard, rw, drainBytes)
 }
 
 func (s *Server) logSession(ss *session, res Result, stack []byte) {

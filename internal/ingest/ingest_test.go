@@ -1,8 +1,10 @@
 package ingest_test
 
 import (
+	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"twpp/internal/core"
 	"twpp/internal/ingest"
@@ -58,6 +60,31 @@ func startServer(t *testing.T, opts ingest.Options) (*ingest.Server, string) {
 		}
 	})
 	return s, ln.Addr().String()
+}
+
+// awaitValue polls v until it reaches want, for up to 10 s. It returns
+// an error rather than failing the test so producer goroutines can use
+// it.
+func awaitValue(v func() int64, want int64) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for v() < want {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("value stuck at %d, want %d", v(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
+// awaitSlotsHeld waits until n sessions hold a slot
+// (twpp_ingest_sessions_active), so a contending session is known to
+// find the semaphore full.
+func awaitSlotsHeld(t *testing.T, s *ingest.Server, n int64) {
+	t.Helper()
+	active := s.Registry().Gauge("twpp_ingest_sessions_active")
+	if err := awaitValue(active.Value, n); err != nil {
+		t.Fatalf("twpp_ingest_sessions_active: %v", err)
+	}
 }
 
 // Every generator shape streamed over a real socket must seal to

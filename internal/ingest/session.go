@@ -41,11 +41,13 @@ type session struct {
 	// bytes, bounded by MaxSessionBytes.
 	events uint64
 	bytes  int64
+	// finished records that the producer's FINISH frame was read, so
+	// nothing it sent is left unread.
+	finished bool
 }
 
-// run drives one session to its RESULT. It always writes exactly one
-// RESULT frame (best-effort — the producer may already be gone) and
-// returns the terminal outcome for the server's metrics.
+// run drives one session to its terminal outcome, which the server
+// counts and then writes as the session's one RESULT frame.
 func (ss *session) run(ctx context.Context) Result {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -85,6 +87,7 @@ func (ss *session) run(ctx context.Context) Result {
 				return ss.reject(err)
 			}
 		case FrameFinish:
+			ss.finished = true
 			if ss.hello == nil {
 				return ss.reject(encoding.Errf(encoding.CodeCorrupt, 0, "ingest: FINISH before HELLO"))
 			}
@@ -122,7 +125,7 @@ func (ss *session) feedEvents(payload []byte) error {
 }
 
 // finish closes the stream, seals the compacted session into the
-// mount's container, and reports the RESULT.
+// mount's container, and returns the sealed RESULT.
 func (ss *session) finish(ctx context.Context, detail string) Result {
 	if err := ss.demux.Close(); err != nil {
 		return ss.reject(err)
@@ -131,7 +134,7 @@ func (ss *session) finish(ctx context.Context, detail string) Result {
 	if err != nil {
 		return ss.reject(err)
 	}
-	res := Result{
+	return Result{
 		Status:       cli.ExitOK,
 		Code:         cli.CodeName(cli.ExitOK),
 		Detail:       detail,
@@ -142,8 +145,6 @@ func (ss *session) finish(ctx context.Context, detail string) Result {
 		Calls:        uint64(sealed.calls),
 		UniqueTraces: uint64(sealed.uniqueTraces),
 	}
-	ss.writeResult(res)
-	return res
 }
 
 // readFailed maps a frame-read failure to the session's outcome. A
@@ -172,24 +173,15 @@ func (ss *session) readFailed(err error) Result {
 	return ss.reject(err)
 }
 
-// reject writes a failure RESULT carrying err's structured class.
+// reject returns a failure RESULT carrying err's structured class.
 func (ss *session) reject(err error) Result {
 	status := cli.ExitCode(err)
-	res := Result{
+	return Result{
 		Status: uint64(status),
 		Code:   cli.CodeName(status),
 		Detail: err.Error(),
 		Events: ss.events,
 	}
-	ss.writeResult(res)
-	return res
-}
-
-// writeResult sends the RESULT frame, best-effort: the producer may
-// have disconnected, and a dead writer must not mask the session's
-// real outcome.
-func (ss *session) writeResult(r Result) {
-	ss.rw.Write(appendResult(nil, r))
 }
 
 // armDeadline sets the per-frame read deadline when the stream

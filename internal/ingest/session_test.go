@@ -147,30 +147,18 @@ func TestBusyRejection(t *testing.T) {
 	if _, err := hold.Write(ingest.AppendHello(nil, "m", w.FuncNames)); err != nil {
 		t.Fatal(err)
 	}
+	awaitSlotsHeld(t, s, 1)
 
-	// The second producer must get a busy RESULT promptly. The first
-	// session is admitted asynchronously after Accept, so tolerate a
-	// few ordering retries.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p := &testkit.Producer{Addr: addr, Mount: "n", Names: w.FuncNames, Events: w.Linear()}
-		res, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status == ingest.StatusBusy {
-			if res.Code != "busy" {
-				t.Fatalf("busy result code %q", res.Code)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never saw busy; last result %+v", res)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The second producer streams a whole session and must read a busy
+	// RESULT, not a reset connection.
+	p := &testkit.Producer{Addr: addr, Mount: "n", Names: w.FuncNames, Events: w.Linear()}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	hold.Close()
-	_ = s
+	if res.Status != ingest.StatusBusy || res.Code != "busy" {
+		t.Fatalf("contending session got %+v, want busy", res)
+	}
 }
 
 // Producer silence after a balanced stream seals the session (the

@@ -22,6 +22,8 @@ import (
 func TestProducerFleetSoak(t *testing.T) {
 	const producers = 16
 	srv, addr := startServer(t, ingest.Options{MaxSessions: producers, Workers: 1})
+	rejected := srv.Registry().Counter("twpp_ingest_sessions_rejected_total")
+	rejectedValue := func() int64 { return int64(rejected.Value()) }
 
 	shapes := testkit.Shapes()
 	var wg sync.WaitGroup
@@ -59,7 +61,11 @@ func TestProducerFleetSoak(t *testing.T) {
 				p.Events = sw.Linear()
 			}
 			// Every 4th producer is killed mid-session, then
-			// reconnects and streams the whole session again.
+			// reconnects and streams the whole session again. It
+			// reconnects only once every kill finished so far is
+			// counted as rejected: the server frees a session's slot
+			// before counting it, so the fleet never holds more than
+			// MaxSessions slots and the reconnect cannot be busy.
 			if i%4 == 3 {
 				kill := *p
 				kill.DisconnectAfter = len(p.Events) / 2
@@ -69,7 +75,12 @@ func TestProducerFleetSoak(t *testing.T) {
 				}
 				mu.Lock()
 				killedWant++
+				kills := killedWant
 				mu.Unlock()
+				if err := awaitValue(rejectedValue, kills); err != nil {
+					errs <- fmt.Errorf("producer %d: kills not counted: %w", i, err)
+					return
+				}
 			}
 			res, err := p.Run()
 			if err != nil {
@@ -94,20 +105,12 @@ func TestProducerFleetSoak(t *testing.T) {
 		return
 	}
 
-	// Kill rejections land asynchronously (the server notices EOF on
-	// its own schedule); poll the counters to quiescence.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sealed := metricValue(t, srv, "twpp_ingest_sessions_sealed_total")
-		rejected := metricValue(t, srv, "twpp_ingest_sessions_rejected_total")
-		if sealed == uint64(sealedWant) && rejected == uint64(killedWant) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("counters never quiesced: sealed=%d want %d, rejected=%d want %d",
-				sealed, rejected, sealedWant, killedWant)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Every kill was counted before its producer reconnected, and
+	// every seal before its RESULT, so the counters are exact now.
+	sealed := metricValue(t, srv, "twpp_ingest_sessions_sealed_total")
+	if sealed != uint64(sealedWant) || rejected.Value() != uint64(killedWant) {
+		t.Fatalf("sealed=%d want %d, rejected=%d want %d",
+			sealed, sealedWant, rejected.Value(), killedWant)
 	}
 	if n := metricValue(t, srv, "twpp_ingest_panics_total"); n != 0 {
 		t.Fatalf("soak caused %d contained panics", n)

@@ -1,17 +1,11 @@
 package server_test
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
-	"twpp/internal/bench"
 	"twpp/internal/server"
 	"twpp/internal/testkit"
 )
@@ -48,8 +42,8 @@ func BenchmarkServeExtract(b *testing.B) {
 }
 
 // withGOMAXPROCS raises GOMAXPROCS to at least n for the duration of a
-// test (restored on cleanup). The serving benchmarks and soaks must
-// run at GOMAXPROCS > 1 even on small CI hosts so the concurrent
+// test (restored on cleanup). The serving soaks must run at
+// GOMAXPROCS > 1 even on small CI hosts so the concurrent
 // serving path — shard contention, semaphore, response cache — is
 // actually exercised in parallel.
 func withGOMAXPROCS(t testing.TB, n int) int {
@@ -60,226 +54,4 @@ func withGOMAXPROCS(t testing.TB, n int) int {
 		return n
 	}
 	return cur
-}
-
-// serveBenchReport is the shape of BENCH_*_serve.json: the serving
-// layer's line in the repo's performance trajectory.
-type serveBenchReport struct {
-	Clients     int     `json:"clients"`
-	Requests    int     `json:"requests"`
-	WallMs      float64 `json:"wall_ms"`
-	ReqPerS     float64 `json:"req_per_s"`
-	P50Us       float64 `json:"p50_us"`
-	P99Us       float64 `json:"p99_us"`
-	MaxUs       float64 `json:"max_us"`
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheMisses uint64  `json:"cache_misses"`
-	DecodeBytes uint64  `json:"decode_bytes"`
-	Resp2xx     uint64  `json:"responses_2xx"`
-	Resp4xx     uint64  `json:"responses_4xx"`
-	Resp5xx     uint64  `json:"responses_5xx"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	Goroutines  int     `json:"goroutines"`
-}
-
-// TestWriteServeBenchJSON runs the 16-client mixed workload over a
-// real listener and writes the measured throughput/latency profile to
-// $SERVE_BENCH_OUT (skipped otherwise; driven by `make bench-serve`).
-func TestWriteServeBenchJSON(t *testing.T) {
-	out := os.Getenv("SERVE_BENCH_OUT")
-	if out == "" {
-		t.Skip("set SERVE_BENCH_OUT=path to write the serve benchmark JSON")
-	}
-	const (
-		clients   = 16
-		perClient = 250
-	)
-	withGOMAXPROCS(t, 4)
-	path, _ := writeCorpusFile(t, testkit.Config{Seed: 74, Shape: testkit.Regular, Funcs: 8, Calls: 300})
-	paths := goodPaths(t, path)
-	srv := server.New(server.Options{CacheEntries: 16, MaxInFlight: 64})
-	if err := srv.Mount("bench", path); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	lat := make([][]time.Duration, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lat[c] = make([]time.Duration, 0, perClient)
-			for i := 0; i < perClient; i++ {
-				p := paths[(c+i)%len(paths)]
-				reqStart := time.Now()
-				resp, err := http.Get(ts.URL + p)
-				if err != nil {
-					t.Errorf("GET %s: %v", p, err)
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("GET %s: status %d", p, resp.StatusCode)
-					return
-				}
-				lat[c] = append(lat[c], time.Since(reqStart))
-			}
-		}(c)
-	}
-	goroutines := runtime.NumGoroutine()
-	wg.Wait()
-	wall := time.Since(start)
-
-	var all []time.Duration
-	for _, l := range lat {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if len(all) == 0 {
-		t.Fatal("no successful requests")
-	}
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	reg := srv.Registry()
-	rep := serveBenchReport{
-		Clients:     clients,
-		Requests:    len(all),
-		WallMs:      float64(wall.Nanoseconds()) / 1e6,
-		ReqPerS:     float64(len(all)) / wall.Seconds(),
-		P50Us:       us(all[len(all)/2]),
-		P99Us:       us(all[len(all)*99/100]),
-		MaxUs:       us(all[len(all)-1]),
-		CacheHits:   reg.Counter("twpp_cache_hits_total").Value(),
-		CacheMisses: reg.Counter("twpp_cache_misses_total").Value(),
-		DecodeBytes: reg.Counter("twpp_decode_bytes_total").Value(),
-		Resp2xx:     reg.Counter("twpp_responses_2xx_total").Value(),
-		Resp4xx:     reg.Counter("twpp_responses_4xx_total").Value(),
-		Resp5xx:     reg.Counter("twpp_responses_5xx_total").Value(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Goroutines:  goroutines,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %.0f req/s, p50 %.0fus, p99 %.0fus", out, rep.ReqPerS, rep.P50Us, rep.P99Us)
-}
-
-// TestWriteScaleBenchJSON sweeps the full serving path over the
-// GOMAXPROCS 1/4/8 axis and writes the scale-out curve to
-// $SCALE_BENCH_OUT (skipped otherwise; driven by `make bench-scale`).
-// SCALE_BENCH_SHORT=1 shrinks the workload for the CI smoke. The
-// report always records num_cpu: on a single-core host the curve is
-// honestly flat — oversubscribing one core measures scheduling
-// overhead, not scale-out — and the field makes that readable.
-func TestWriteScaleBenchJSON(t *testing.T) {
-	out := os.Getenv("SCALE_BENCH_OUT")
-	if out == "" {
-		t.Skip("set SCALE_BENCH_OUT=path to write the scale benchmark JSON")
-	}
-	perClient := 150
-	if os.Getenv("SCALE_BENCH_SHORT") != "" {
-		perClient = 25
-	}
-	path, _ := writeCorpusFile(t, testkit.Config{Seed: 75, Shape: testkit.Regular, Funcs: 8, Calls: 300})
-	srv := server.New(server.Options{CacheEntries: 64, MaxInFlight: 128})
-	if err := srv.Mount("scale", path); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	paths := goodPaths(t, path)
-	h := srv.Handler()
-
-	// Warm both caches before the first point so every point measures
-	// the same steady serving state.
-	for _, p := range paths {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("warmup GET %s: status %d", p, rec.Code)
-		}
-	}
-
-	reg := srv.Registry()
-	rep := &bench.ScaleReport{Kind: "serve", NumCPU: runtime.NumCPU(), Note: bench.ScaleNote()}
-	// The axis is clamped to NumCPU unless SCALE_BENCH_FORCE_PROCS=1:
-	// oversubscribing one core reports a p99 that measures scheduler
-	// queueing, not serving — forced points carry oversubscribed so the
-	// trajectory stays honest.
-	force := os.Getenv("SCALE_BENCH_FORCE_PROCS") != ""
-	for _, procs := range bench.ClampProcs(bench.DefaultScaleProcs, force) {
-		old := runtime.GOMAXPROCS(procs)
-		clients := 4 * procs
-		total := clients * perClient
-		lat := make([][]time.Duration, clients)
-		cacheHits0 := reg.Counter("twpp_cache_hits_total").Value()
-		respHits0 := reg.Counter("twpp_respcache_hits_total").Value()
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				lat[c] = make([]time.Duration, 0, perClient)
-				for i := 0; i < perClient; i++ {
-					p := paths[(c+i)%len(paths)]
-					reqStart := time.Now()
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
-					if rec.Code != http.StatusOK {
-						t.Errorf("GET %s: status %d", p, rec.Code)
-						return
-					}
-					lat[c] = append(lat[c], time.Since(reqStart))
-				}
-			}(c)
-		}
-		goroutines := runtime.NumGoroutine()
-		wg.Wait()
-		wall := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		runtime.GOMAXPROCS(old)
-
-		var all []time.Duration
-		for _, l := range lat {
-			all = append(all, l...)
-		}
-		if len(all) != total {
-			t.Fatalf("GOMAXPROCS=%d: %d/%d requests succeeded", procs, len(all), total)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-		rep.Runs = append(rep.Runs, bench.ScaleRun{
-			GoMaxProcs:     procs,
-			Workers:        clients,
-			Ops:            total,
-			WallMs:         float64(wall.Nanoseconds()) / 1e6,
-			OpsPerS:        float64(total) / wall.Seconds(),
-			AllocsPerOp:    float64(m1.Mallocs-m0.Mallocs) / float64(total),
-			Goroutines:     goroutines,
-			Oversubscribed: procs > rep.NumCPU,
-			P50Us:          us(all[len(all)/2]),
-			P99Us:          us(all[len(all)*99/100]),
-			CacheHits:      reg.Counter("twpp_cache_hits_total").Value() - cacheHits0,
-			RespCacheHits:  reg.Counter("twpp_respcache_hits_total").Value() - respHits0,
-		})
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rep.Runs {
-		t.Logf("GOMAXPROCS=%d: %.0f req/s, p50 %.0fus, p99 %.0fus, %.1f allocs/req, %d goroutines",
-			r.GoMaxProcs, r.OpsPerS, r.P50Us, r.P99Us, r.AllocsPerOp, r.Goroutines)
-	}
-	t.Logf("wrote %s (num_cpu=%d, speedup 1->%d: %.2fx)",
-		out, rep.NumCPU, rep.Runs[len(rep.Runs)-1].GoMaxProcs, rep.Speedup())
 }

@@ -83,7 +83,7 @@ func (p *Producer) Run() (ingest.Result, error) {
 	}
 
 	if _, err := rw.Write(ingest.AppendHello(nil, p.Mount, p.Names)); err != nil {
-		return ingest.Result{}, err
+		return resultAfterWriteError(rw, err)
 	}
 	sent := 0
 	for sent < len(p.Events) {
@@ -102,7 +102,7 @@ func (p *Producer) Run() (ingest.Result, error) {
 		}
 		pace()
 		if _, err := rw.Write(ingest.AppendEvents(nil, p.Events[sent:hi])); err != nil {
-			return ingest.Result{}, err
+			return resultAfterWriteError(rw, err)
 		}
 		sent = hi
 	}
@@ -114,9 +114,20 @@ func (p *Producer) Run() (ingest.Result, error) {
 	}
 	pace()
 	if _, err := rw.Write(ingest.AppendFinish(nil)); err != nil {
-		return ingest.Result{}, err
+		return resultAfterWriteError(rw, err)
 	}
 	return ingest.ReadResult(rw)
+}
+
+// resultAfterWriteError handles a failed write. A server that answers
+// early (busy, or a rejection mid-stream) may stop reading before the
+// producer stops writing, yet its RESULT can already be waiting, so it
+// is still read. The write error stands only if no RESULT arrives.
+func resultAfterWriteError(rw io.Reader, werr error) (ingest.Result, error) {
+	if res, err := ingest.ReadResult(rw); err == nil {
+		return res, nil
+	}
+	return ingest.Result{}, werr
 }
 
 // OfflineCompact runs the offline streaming pipeline — the exact
