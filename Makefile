@@ -57,9 +57,12 @@ cover:
 	done
 
 # Quick benchmark sweep of the parallel pipeline and concurrent
-# extraction (full tables: `go run ./cmd/twpp-bench`).
+# extraction (full tables: `go run ./cmd/twpp-bench`), plus the two
+# compaction kernels — DBB discovery and timestamp inversion — over
+# one profile's unique traces, with allocations.
 bench:
 	$(GO) test -run xxx -bench 'ParallelCompact|ConcurrentExtract|Table' -benchtime 1x .
+	$(GO) test -run xxx -bench 'CompactTrace|FromPath' -benchtime 100x ./internal/wpp/ ./internal/core/
 
 # Peak-heap comparison of the batch and streaming compaction pipelines
 # (one iteration each; fast enough for local runs and CI).
@@ -121,11 +124,14 @@ passes-test:
 
 # Run the fuzz targets on their seed corpora only (no fuzzing time;
 # the seeded cases run as ordinary tests): the compaction determinism
-# targets at the root, the hostile-input decode targets in wppfile and
+# targets at the root, the two compaction kernels against their
+# reference oracles, the hostile-input decode targets in wppfile and
 # encoding, the segmented-container manifest decoder, the ingest wire
 # frame, the diff engine, and the analysis-pass dispatcher.
 fuzz-seed:
 	$(GO) test -run 'FuzzParallelCompactDeterminism|FuzzStreamCompactDeterminism' .
+	$(GO) test -run 'FuzzCompactTrace' ./internal/wpp/
+	$(GO) test -run 'FuzzFromPath' ./internal/core/
 	$(GO) test -run 'FuzzDecodeCompacted|FuzzStreamRoundTrip' ./internal/wppfile/
 	$(GO) test -run 'FuzzUvarintBatchParity' ./internal/encoding/
 	$(GO) test -run 'FuzzManifestDecode' ./internal/segment/

@@ -73,7 +73,11 @@ type Seq []Entry
 // more values (or two consecutive values, which cost no more as a
 // range) become series entries.
 func CompactSeries(ts []Timestamp) Seq {
-	var out Seq
+	return appendSeries(nil, ts)
+}
+
+// appendSeries is CompactSeries appending the entries to out.
+func appendSeries(out Seq, ts []Timestamp) Seq {
 	n := len(ts)
 	for i := 0; i < n; {
 		if i+1 >= n {
@@ -244,18 +248,25 @@ func (s Seq) String() string {
 	return out + "]"
 }
 
+// Signed returns the entry's sign-terminated wire values, the last one
+// negated, in vals[:n] (n == e.Words()).
+func (e Entry) Signed() (vals [3]int64, n int) {
+	switch e.Words() {
+	case 1:
+		return [3]int64{-e.Lo}, 1
+	case 2:
+		return [3]int64{e.Lo, -e.Hi}, 2
+	default:
+		return [3]int64{e.Lo, e.Hi, -e.Step}, 3
+	}
+}
+
 // EncodeSigned appends the sign-terminated integer encoding of the
 // paper: each entry's values with the last one negated.
 func (s Seq) EncodeSigned(dst []int64) []int64 {
 	for _, e := range s {
-		switch e.Words() {
-		case 1:
-			dst = append(dst, -e.Lo)
-		case 2:
-			dst = append(dst, e.Lo, -e.Hi)
-		default:
-			dst = append(dst, e.Lo, e.Hi, -e.Step)
-		}
+		vals, n := e.Signed()
+		dst = append(dst, vals[:n]...)
 	}
 	return dst
 }

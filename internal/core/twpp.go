@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,20 +27,59 @@ type Trace struct {
 	Len    int
 }
 
+// invertScratch is FromPath's pooled working state.
+type invertScratch struct {
+	num   wpp.Numbering
+	next  []int32     // counting-sort cursor per local block index
+	times []Timestamp // positions grouped by block, ascending within a group
+	ents  Seq         // every block's series entries, block after block
+	ends  []int       // ents offset just past each block's entries
+}
+
+var invertPool = sync.Pool{New: func() any { return new(invertScratch) }}
+
 // FromPath converts a (dictionary-compacted) path trace into TWPP
-// form. Timestamps are 1-based positions in the path.
+// form. Timestamps are 1-based positions in the path. The positions
+// are counting-sorted by dense local block index (wpp.Numbering), so
+// each block's timestamps come out as one ascending sub-slice that
+// CompactSeries folds; the blocks' series share one exactly sized
+// backing array, each capped at its own length.
 func FromPath(path wpp.PathTrace) *Trace {
-	order := make([]cfg.BlockID, 0, 8)
-	times := make(map[cfg.BlockID][]Timestamp)
-	for i, b := range path {
-		if _, ok := times[b]; !ok {
-			order = append(order, b)
-		}
-		times[b] = append(times[b], Timestamp(i+1))
+	sc := invertPool.Get().(*invertScratch)
+	defer invertPool.Put(sc)
+	sc.num.Number(path)
+	ids, loc, count := sc.num.IDs, sc.num.Local, sc.num.Count
+	k := len(ids)
+
+	next := slices.Grow(sc.next[:0], k)[:k]
+	off := int32(0)
+	for j, c := range count {
+		next[j] = off
+		off += c
 	}
-	tr := &Trace{Len: len(path), Blocks: make([]BlockTimes, len(order))}
-	for i, b := range order {
-		tr.Blocks[i] = BlockTimes{Block: b, Times: CompactSeries(times[b])}
+	times := slices.Grow(sc.times[:0], len(path))[:len(path)]
+	for i, l := range loc {
+		times[next[l]] = Timestamp(i + 1)
+		next[l]++
+	}
+	// next[j] is now the end of block j's group, and the start of
+	// block j+1's.
+	ents, ends := sc.ents[:0], slices.Grow(sc.ends[:0], k)[:k]
+	lo := int32(0)
+	for j := range ends {
+		ents = appendSeries(ents, times[lo:next[j]])
+		ends[j] = len(ents)
+		lo = next[j]
+	}
+	sc.next, sc.times, sc.ents, sc.ends = next, times, ents, ends
+
+	all := make(Seq, len(ents))
+	copy(all, ents)
+	tr := &Trace{Len: len(path), Blocks: make([]BlockTimes, k)}
+	prev := 0
+	for j, end := range ends {
+		tr.Blocks[j] = BlockTimes{Block: ids[j], Times: all[prev:end:end]}
+		prev = end
 	}
 	return tr
 }
@@ -185,39 +224,8 @@ func FromCompactedWorkersCtx(ctx context.Context, c *wpp.Compacted, workers int)
 			out.Traces[i] = FromPath(path)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(c.Funcs) <= 1 {
-		for f := range c.Funcs {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			convert(f)
-		}
-		return t, nil
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for f := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without working
-				}
-				convert(f)
-			}
-		}()
-	}
-	for f := range c.Funcs {
-		jobs <- f
-	}
-	close(jobs)
-	wg.Wait()
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
+	if err := wpp.RunJobs(ctx, len(c.Funcs), workers, convert); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

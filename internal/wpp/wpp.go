@@ -18,7 +18,7 @@ package wpp
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 
 	"twpp/internal/cfg"
@@ -146,18 +146,21 @@ func CompactWorkers(w *trace.RawWPP, workers int) (*Compacted, Stats) {
 
 // CompactWorkersCtx is CompactWorkers with cooperative cancellation:
 // the DCG walk checks ctx every few thousand nodes and the
-// DBB-discovery pool checks it between functions, so a canceled
+// per-function pool checks it between functions, so a canceled
 // context abandons a large compaction promptly. On cancellation the
 // partial Compacted is discarded and ctx.Err() is returned.
 func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Compacted, Stats, error) {
-	numFuncs := len(w.FuncNames)
-	// Functions can appear in the DCG beyond the name table when names
-	// are absent; size by scanning.
+	// Count each function's calls. Functions can appear in the DCG
+	// beyond the name table when names are absent, so the table is
+	// sized by this scan too.
+	var perFunc []int
 	w.Walk(func(n *trace.CallNode) {
-		if int(n.Fn) >= numFuncs {
-			numFuncs = int(n.Fn) + 1
+		for int(n.Fn) >= len(perFunc) {
+			perFunc = append(perFunc, 0)
 		}
+		perFunc[n.Fn]++
 	})
+	numFuncs := max(len(w.FuncNames), len(perFunc))
 
 	c := &Compacted{
 		FuncNames: w.FuncNames,
@@ -170,45 +173,40 @@ func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Comp
 	var stats Stats
 	stats.RawTraceBytes = 4 * w.NumBlocks()
 
-	// Stage 1+2: partition per function and deduplicate original
-	// traces. seen[f] interns trace contents by hash; unique indices
-	// point into a per-function intermediate list of original traces.
-	seen := make([]*Interner, numFuncs)
-	orig := make([][]PathTrace, numFuncs)
-	for f := range seen {
-		seen[f] = newInterner()
+	// Stage 1: partition. The sequential walk builds the compacted DCG
+	// and lists each function's calls in preorder, function f's in
+	// calls[first[f]:first[f+1]]; until stage 2 interns it, a node's
+	// TraceIdx holds its raw trace index (into w.Traces). The walk
+	// polls ctx every stride nodes; once canceled it unwinds without
+	// visiting further children.
+	first := make([]int, numFuncs+1)
+	copy(first[1:], perFunc)
+	for f := range numFuncs {
+		first[f+1] += first[f]
 	}
-
-	// The DCG walk polls ctx every stride nodes; once canceled it
-	// unwinds without visiting further children.
+	calls := make([]*CallNode, first[numFuncs])
+	next := slices.Clone(first[:numFuncs])
 	const cancelStride = 1 << 12
-	visited := 0
 	canceled := false
 	var build func(n *trace.CallNode) *CallNode
 	build = func(n *trace.CallNode) *CallNode {
 		if canceled {
 			return nil
 		}
-		visited++
-		if visited%cancelStride == 0 && ctx.Err() != nil {
+		stats.Calls++
+		if stats.Calls%cancelStride == 0 && ctx.Err() != nil {
 			canceled = true
 			return nil
 		}
-		f := int(n.Fn)
-		tr := PathTrace(w.Traces[n.Trace])
-		h := hashTrace(tr)
-		idx, ok := seen[f].lookup(h, func(i int) bool { return tracesEqual(orig[f][i], tr) })
-		if !ok {
-			idx = len(orig[f])
-			seen[f].insert(h, idx)
-			orig[f] = append(orig[f], tr)
-		}
-		cn := &CallNode{Fn: n.Fn, TraceIdx: idx}
-		c.Funcs[f].CallCount++
-		stats.Calls++
-		for i, ch := range n.Children {
-			cn.Children = append(cn.Children, build(ch))
-			cn.ChildPos = append(cn.ChildPos, n.ChildPos[i])
+		cn := &CallNode{Fn: n.Fn, TraceIdx: n.Trace}
+		calls[next[n.Fn]] = cn
+		next[n.Fn]++
+		if len(n.Children) > 0 {
+			cn.Children = make([]*CallNode, len(n.Children))
+			cn.ChildPos = slices.Clone(n.ChildPos[:len(n.Children)])
+			for i, ch := range n.Children {
+				cn.Children[i] = build(ch)
+			}
 		}
 		return cn
 	}
@@ -217,21 +215,36 @@ func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Comp
 		return nil, Stats{}, ctx.Err()
 	}
 
-	// Stage 3: per unique trace, discover DBBs and compact; then
-	// deduplicate dictionaries per function. Functions are mutually
-	// independent here, so the work fans out over a bounded pool; each
-	// worker writes only its own c.Funcs[f] slot and partial-stats
-	// slot, and the partials are summed in function order afterwards so
-	// the Stats accumulate identically to a sequential run.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// Stages 2 and 3, per function: deduplicate the function's traces
+	// (interning by hash with verified equality) in preorder, which
+	// keeps unique traces in first-occurrence order; then per unique
+	// trace discover DBBs and compact, and deduplicate dictionaries.
+	// Functions are mutually independent here, so the work fans out
+	// over a bounded pool; each job writes only its own c.Funcs[f]
+	// slot, partial-stats slot and call nodes, and the partials are
+	// summed in function order afterwards so the Stats accumulate
+	// identically to a sequential run.
 	partial := make([]Stats, numFuncs)
 	compactFunc := func(f int) {
 		ft := &c.Funcs[f]
 		ps := &partial[f]
+		fcalls := calls[first[f]:first[f+1]]
+		ft.CallCount = len(fcalls)
+		seen := newInterner()
+		var orig []PathTrace
+		for _, cn := range fcalls {
+			tr := PathTrace(w.Traces[cn.TraceIdx])
+			h := hashTrace(tr)
+			idx, ok := seen.lookup(h, func(i int) bool { return tracesEqual(orig[i], tr) })
+			if !ok {
+				idx = len(orig)
+				seen.insert(h, idx)
+				orig = append(orig, tr)
+			}
+			cn.TraceIdx = idx
+		}
 		dictSeen := newInterner()
-		for _, tr := range orig[f] {
+		for _, tr := range orig {
 			ps.AfterRedundancy += 4 * len(tr)
 			compacted, dict := compactTrace(tr)
 			dh := hashDict(dict)
@@ -253,36 +266,8 @@ func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Comp
 			ps.DictionaryBytes += 4 * d.Words()
 		}
 	}
-	if workers == 1 || numFuncs <= 1 {
-		for f := range orig {
-			if ctx.Err() != nil {
-				return nil, Stats{}, ctx.Err()
-			}
-			compactFunc(f)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for f := range jobs {
-					if ctx.Err() != nil {
-						continue // drain without working
-					}
-					compactFunc(f)
-				}
-			}()
-		}
-		for f := range orig {
-			jobs <- f
-		}
-		close(jobs)
-		wg.Wait()
-		if ctx.Err() != nil {
-			return nil, Stats{}, ctx.Err()
-		}
+	if err := RunJobs(ctx, numFuncs, workers, compactFunc); err != nil {
+		return nil, Stats{}, err
 	}
 	for f := range partial {
 		ps := &partial[f]
@@ -295,136 +280,169 @@ func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Comp
 	return c, stats, nil
 }
 
+// dbbScratch is compactTrace's pooled working state. Every slice but
+// chain is indexed by the trace's dense local block index.
+type dbbScratch struct {
+	num        Numbering
+	succ, pred []int32 // unique dynamic successor/predecessor, noBlock, or multiBlock
+	start, end []int32 // a chain head's [start, end) in chain; start -1 for non-heads
+	seen       []int32 // the head whose chain walk last visited the block
+	chain      []int32 // every chain's members, chain after chain
+}
+
+var dbbPool = sync.Pool{New: func() any { return new(dbbScratch) }}
+
+// Sentinels of succ and pred; local indices are >= 0.
+const (
+	noBlock    int32 = -1
+	multiBlock int32 = -2
+)
+
 // compactTrace finds the dynamic basic blocks of one path trace and
 // returns the compacted trace along with the dictionary of chains.
+// All per-block state is kept by dense local index (see Numbering);
+// only the returned Dictionary is a map.
 func compactTrace(tr PathTrace) (PathTrace, Dictionary) {
 	if len(tr) == 0 {
 		return PathTrace{}, Dictionary{}
 	}
-	// Dynamic CFG: successor/predecessor sets of each block restricted
-	// to this trace. succ[b] == 0 means none yet; -1 means multiple.
-	succ := make(map[cfg.BlockID]cfg.BlockID)
-	pred := make(map[cfg.BlockID]cfg.BlockID)
-	const multi = cfg.BlockID(-1)
-	for i := 0; i+1 < len(tr); i++ {
-		u, v := tr[i], tr[i+1]
-		if s, ok := succ[u]; !ok {
+	sc := dbbPool.Get().(*dbbScratch)
+	defer dbbPool.Put(sc)
+	sc.num.Number(tr)
+	ids, loc, count := sc.num.IDs, sc.num.Local, sc.num.Count
+	k := len(ids)
+
+	// Dynamic CFG: each block's unique successor and predecessor
+	// within this trace, or multiBlock once it has several.
+	succ, pred := fill(sc.succ, k, noBlock), fill(sc.pred, k, noBlock)
+	sc.succ, sc.pred = succ, pred
+	for i := 0; i+1 < len(loc); i++ {
+		u, v := loc[i], loc[i+1]
+		if s := succ[u]; s == noBlock {
 			succ[u] = v
 		} else if s != v {
-			succ[u] = multi
+			succ[u] = multiBlock
 		}
-		if p, ok := pred[v]; !ok {
+		if p := pred[v]; p == noBlock {
 			pred[v] = u
 		} else if p != u {
-			pred[v] = multi
+			pred[v] = multiBlock
 		}
 	}
 
-	// chainEdge(u) reports whether the edge u -> succ[u] can be inside
-	// a DBB: u has a unique dynamic successor v, v has a unique dynamic
-	// predecessor (necessarily u), and v != u.
-	chainEdge := func(u cfg.BlockID) (cfg.BlockID, bool) {
-		v, ok := succ[u]
-		if !ok || v == multi || v == u {
-			return 0, false
+	// chainEdge(u) returns v when the edge u -> v can be inside a DBB:
+	// v is u's unique dynamic successor, u is v's unique dynamic
+	// predecessor, and v != u. Otherwise it returns noBlock.
+	chainEdge := func(u int32) int32 {
+		v := succ[u]
+		if v < 0 || v == u || pred[v] != u {
+			return noBlock
 		}
-		if pred[v] != u { // covers the multi case too
-			return 0, false
-		}
-		return v, true
+		return v
 	}
-
 	// "Always entered from the first block": the trace's first block
-	// must begin a chain, so sever any chain edge that enters it.
-	// "Always exited from the last block": the trace's last block must
-	// end a chain, so sever its outgoing chain edge.
-	banStart := map[cfg.BlockID]bool{tr[0]: true}
-	banOut := map[cfg.BlockID]bool{tr[len(tr)-1]: true}
-
-	// Heads: blocks that start a maximal chain. A block b starts a
-	// chain if it has an outgoing chain edge and either no incoming
-	// chain edge or its incoming chain edge is severed.
-	hasIncomingChain := func(v cfg.BlockID) bool {
-		if banStart[v] {
-			return false
+	// (local index 0) must begin a chain, so any chain edge entering
+	// it is severed. "Always exited from the last block": the trace's
+	// last block must end a chain, so its outgoing chain edge is
+	// severed.
+	first, last := int32(0), loc[len(loc)-1]
+	outgoingChain := func(u int32) int32 {
+		if u == last {
+			return noBlock
 		}
-		u, ok := pred[v]
-		if !ok || u == multi {
-			return false
+		if v := chainEdge(u); v != first {
+			return v
 		}
-		if banOut[u] {
-			return false
-		}
-		w, ok := chainEdge(u)
-		return ok && w == v
+		return noBlock
 	}
-	outgoingChain := func(u cfg.BlockID) (cfg.BlockID, bool) {
-		if banOut[u] {
-			return 0, false
+	hasIncomingChain := func(v int32) bool {
+		if v == first {
+			return false
 		}
-		v, ok := chainEdge(u)
-		if !ok || banStart[v] {
-			return 0, false
-		}
-		return v, true
+		u := pred[v]
+		return u >= 0 && u != last && chainEdge(u) == v
 	}
 
-	dict := Dictionary{}
-	inChain := map[cfg.BlockID]bool{}
-	for b := range succ {
-		if _, ok := outgoingChain(b); !ok {
+	// Heads: blocks that start a maximal chain — an outgoing chain edge
+	// and no (unsevered) incoming one. Walk each head's chain. Cycles
+	// are impossible here: a cycle has no head (every node has an
+	// incoming chain edge) unless severed — and severing is what
+	// created this head.
+	start, end := fill(sc.start, k, -1), slices.Grow(sc.end[:0], k)[:k]
+	seen := fill(sc.seen, k, -1)
+	chain := sc.chain[:0]
+	heads, saved := 0, 0
+	for b := int32(0); b < int32(k); b++ {
+		if outgoingChain(b) < 0 || hasIncomingChain(b) {
 			continue
 		}
-		if hasIncomingChain(b) {
-			continue // interior node
-		}
-		// Walk the chain from head b. Cycles are impossible here: a
-		// cycle has no head (every node has an incoming chain edge)
-		// unless severed — and severing is what created this head.
-		chain := PathTrace{b}
-		seen := map[cfg.BlockID]bool{b: true}
+		start[b] = int32(len(chain))
+		chain = append(chain, b)
+		seen[b] = b
 		for u := b; ; {
-			v, ok := outgoingChain(u)
-			if !ok || seen[v] {
+			v := outgoingChain(u)
+			if v < 0 || seen[v] == b {
 				break
 			}
 			chain = append(chain, v)
-			seen[v] = true
+			seen[v] = b
 			u = v
 		}
-		if len(chain) >= 2 {
-			dict[b] = chain
-			for _, id := range chain {
-				inChain[id] = true
+		end[b] = int32(len(chain))
+		heads++
+		// Every occurrence of the head is followed by the rest of its
+		// chain, which the compacted trace drops.
+		saved += int(count[b]) * int(end[b]-start[b]-1)
+	}
+	sc.start, sc.end, sc.seen, sc.chain = start, end, seen, chain
+
+	// The dictionary's chains share one exactly sized backing array,
+	// each capped at its own length.
+	dict := make(Dictionary, heads)
+	if heads > 0 {
+		all := make(PathTrace, len(chain))
+		for j, m := range chain {
+			all[j] = ids[m]
+		}
+		for b := 0; b < k; b++ {
+			if lo, hi := start[b], end[b]; lo >= 0 {
+				dict[ids[b]] = all[lo:hi:hi]
 			}
 		}
 	}
-	// Also ban chains through the final block of the trace when it has
-	// no successors at all (it may not appear in succ); nothing to do —
-	// such a block can only be a chain tail, which is fine.
 
 	// Rewrite the trace: each occurrence of a chain head is followed by
 	// the full chain (guaranteed by construction); emit the head and
 	// skip the rest.
-	var out PathTrace
+	out := make(PathTrace, 0, len(tr)-saved)
 	for i := 0; i < len(tr); {
-		b := tr[i]
-		if chain, ok := dict[b]; ok {
-			// Defensive check: the construction guarantees a full
-			// occurrence; verify in debug fashion.
-			for j, cb := range chain {
-				if i+j >= len(tr) || tr[i+j] != cb {
-					panic(fmt.Sprintf("wpp: partial DBB occurrence of %v at %d in %v", chain, i, tr))
-				}
-			}
-			out = append(out, b)
-			i += len(chain)
-		} else {
-			out = append(out, b)
+		u := loc[i]
+		out = append(out, tr[i])
+		lo, hi := start[u], end[u]
+		if lo < 0 {
 			i++
+			continue
 		}
+		// Defensive check: the construction guarantees a full
+		// occurrence.
+		for j, m := range chain[lo:hi] {
+			if i+j >= len(tr) || loc[i+j] != m {
+				panic(fmt.Sprintf("wpp: partial DBB occurrence of %v at %d in %v", dict[tr[i]], i, tr))
+			}
+		}
+		i += int(hi - lo)
 	}
 	return out, dict
+}
+
+// fill returns s resliced to length n with every element set to v,
+// reallocating only when its capacity is short.
+func fill(s []int32, n int, v int32) []int32 {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // Reconstruct inverts the compaction, rebuilding the raw WPP (DCG with

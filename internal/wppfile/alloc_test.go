@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"twpp/internal/core"
 	"twpp/internal/storage"
 	"twpp/internal/testkit"
+	"twpp/internal/wpp"
 	"twpp/internal/wppfile"
 )
 
@@ -153,5 +155,16 @@ func TestExtractIntoConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestAppendTraceRecordZeroAllocs pins that encoding a trace record
+// into a buffer with room allocates nothing: every entry's varints go
+// straight into the buffer, with no per-block scratch slice.
+func TestAppendTraceRecordZeroAllocs(t *testing.T) {
+	tr := core.FromPath(wpp.PathTrace{1, 2, 3, 2, 3, 2, 3, 4, 1, 5, 1, 5, 1})
+	buf := wppfile.AppendTraceRecord(nil, 0, tr)
+	if n := testing.AllocsPerRun(100, func() { buf = wppfile.AppendTraceRecord(buf[:0], 0, tr) }); n != 0 {
+		t.Errorf("AppendTraceRecord allocates %.1f times per record, want 0", n)
 	}
 }

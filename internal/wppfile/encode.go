@@ -7,6 +7,7 @@
 package wppfile
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -99,12 +100,10 @@ func EncodeCompactedFormat(t *core.TWPP, workers, format int) ([]byte, error) {
 	// Encode each function's block into its own pooled buffer,
 	// concurrently when workers allow. Blocks only ever append to
 	// their buffer, so the per-function bytes are independent of
-	// scheduling.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// scheduling. RunJobs fails only on a canceled context, and
+	// Background never is (here and in EncodeCompactedToFormat).
 	parts := make([]*[]byte, len(order))
-	runJobs(len(order), workers, func(i int) {
+	_ = wpp.RunJobs(context.Background(), len(order), workers, func(i int) {
 		bp := encodeBufPool.Get().(*[]byte)
 		*bp = encodeFunctionBlock((*bp)[:0], &t.Funcs[order[i]])
 		parts[i] = bp
@@ -247,17 +246,21 @@ func AppendDictionary(buf []byte, d wpp.Dictionary) []byte {
 
 // AppendTraceRecord appends one TWPP trace record (dictionary index,
 // original length, per-block timestamp series) — the per-trace unit of
-// a function block.
+// a function block. Each block's series is its value count followed by
+// every entry's sign-terminated values (core.Entry.Signed), emitted
+// straight into buf.
 func AppendTraceRecord(buf []byte, dictIdx int, tr *core.Trace) []byte {
 	buf = encoding.PutUvarint(buf, uint64(dictIdx))
 	buf = encoding.PutUvarint(buf, uint64(tr.Len))
 	buf = encoding.PutUvarint(buf, uint64(len(tr.Blocks)))
 	for _, bt := range tr.Blocks {
 		buf = encoding.PutUvarint(buf, uint64(bt.Block))
-		signed := bt.Times.EncodeSigned(nil)
-		buf = encoding.PutUvarint(buf, uint64(len(signed)))
-		for _, v := range signed {
-			buf = encoding.PutVarint(buf, v)
+		buf = encoding.PutUvarint(buf, uint64(bt.Times.Words()))
+		for _, e := range bt.Times {
+			vals, n := e.Signed()
+			for _, v := range vals[:n] {
+				buf = encoding.PutVarint(buf, v)
+			}
 		}
 	}
 	return buf
@@ -319,7 +322,7 @@ func EncodeCompactedToFormat(w io.Writer, t *core.TWPP, workers, format int) (in
 	// Pass 1: block lengths and checksums, fanned out over the pool.
 	lengths := make([]int, len(order))
 	crcs := make([]uint32, len(order))
-	runJobs(len(order), workers, func(i int) {
+	_ = wpp.RunJobs(context.Background(), len(order), workers, func(i int) {
 		bp := encodeBufPool.Get().(*[]byte)
 		*bp = encodeFunctionBlock((*bp)[:0], &t.Funcs[order[i]])
 		lengths[i] = len(*bp)
@@ -376,7 +379,7 @@ func EncodeCompactedToFormat(w io.Writer, t *core.TWPP, workers, format int) (in
 		if end > len(order) {
 			end = len(order)
 		}
-		runJobs(end-start, workers, func(j int) {
+		_ = wpp.RunJobs(context.Background(), end-start, workers, func(j int) {
 			i := start + j
 			bp := encodeBufPool.Get().(*[]byte)
 			*bp = encodeFunctionBlock((*bp)[:0], &t.Funcs[order[i]])
@@ -434,36 +437,6 @@ func hotOrder(t *core.TWPP) []cfg.FuncID {
 		return order[i] < order[j]
 	})
 	return order
-}
-
-// runJobs executes fn(0..n-1) over at most workers goroutines,
-// sequentially when workers or n is 1.
-func runJobs(n, workers int, fn func(i int)) {
-	if workers == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	if workers > n {
-		workers = n
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // HotOrder is the exported form of hotOrder: the called functions
