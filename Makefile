@@ -13,19 +13,24 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with concurrency: the parallel
-# compaction pipeline (root), its stages (wpp, core), the concurrent
-# indexed extraction + decode cache (wppfile), and the segmented
-# container's background-merge swap protocol (segment).
+# compaction pipeline (root), its stages (wpp, core) including the
+# streaming compactor's background DBB batches, the concurrent indexed
+# extraction + decode cache (wppfile), and the segmented container's
+# background-merge swap protocol (segment).
 race:
 	$(GO) test -race ./internal/wppfile/ ./internal/wpp/ ./internal/core/ ./internal/segment/ .
 
 vet:
 	$(GO) vet ./...
 
-# staticcheck is optional tooling: run it when the host has it, skip
-# quietly (with a note) when it does not, so ci works in hermetic
-# containers without network access.
+# gofmt is part of the toolchain, so its gate always runs: any file
+# it would reformat fails lint. staticcheck is optional tooling: run
+# it when the host has it, skip quietly (with a note) when it does
+# not, so ci works in hermetic containers without network access.
 lint: vet
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -124,12 +129,14 @@ passes-test:
 
 # Run the fuzz targets on their seed corpora only (no fuzzing time;
 # the seeded cases run as ordinary tests): the compaction determinism
-# targets at the root, the two compaction kernels against their
+# targets at the root, the event demux's block runs against
+# symbol-at-a-time feeding, the two compaction kernels against their
 # reference oracles, the hostile-input decode targets in wppfile and
 # encoding, the segmented-container manifest decoder, the ingest wire
 # frame, the diff engine, and the analysis-pass dispatcher.
 fuzz-seed:
 	$(GO) test -run 'FuzzParallelCompactDeterminism|FuzzStreamCompactDeterminism' .
+	$(GO) test -run 'FuzzDemuxRuns' ./internal/trace/
 	$(GO) test -run 'FuzzCompactTrace' ./internal/wpp/
 	$(GO) test -run 'FuzzFromPath' ./internal/core/
 	$(GO) test -run 'FuzzDecodeCompacted|FuzzStreamRoundTrip' ./internal/wppfile/

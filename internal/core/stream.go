@@ -10,42 +10,32 @@ import (
 
 // StreamCompactor runs the full compaction pipeline — redundant-trace
 // elimination, DBB dictionaries, and the timestamp inversion — online
-// over a trace event stream. It wraps wpp.StreamCompactor and performs
-// the B -> P(T) inversion incrementally, once per unique trace at the
-// moment the trace is interned, so no stage ever sees the whole WPP:
-// peak memory stays O(unique traces + open call stack + DCG).
+// over a trace event stream. It wraps wpp.StreamCompactor, which
+// interns each call's trace as the call exits and compacts new unique
+// traces in background batches; Finish then inverts every unique trace
+// in one parallel stage, the batch path's FromCompactedWorkersCtx. No
+// stage ever sees the whole WPP: peak memory stays O(unique traces +
+// open call stack + DCG).
 //
 // It implements trace.EventSink. Finish returns a TWPP deeply equal to
 // core.FromCompacted(wpp.Compact(...)) on the same stream, and the
 // same Stats.
 type StreamCompactor struct {
 	sc *wpp.StreamCompactor
-	// traces[f][prov] is the inverted form of function f's prov-th
-	// unique trace in intern (provisional) order; Finish rearranges
-	// them into first-occurrence order via the wpp remap.
-	traces [][]*Trace
 }
 
 // NewStreamCompactor returns a streaming pipeline for a program with
 // the given function names.
 func NewStreamCompactor(funcNames []string) *StreamCompactor {
-	s := &StreamCompactor{sc: wpp.NewStreamCompactor(funcNames)}
-	s.sc.OnTrace = func(fn cfg.FuncID, prov int, compacted wpp.PathTrace, origLen int) {
-		for int(fn) >= len(s.traces) {
-			s.traces = append(s.traces, nil)
-		}
-		// Provisional indices arrive sequentially per function, so the
-		// inverted trace lands at index prov by construction.
-		s.traces[fn] = append(s.traces[fn], FromPath(compacted))
-	}
-	return s
+	return &StreamCompactor{sc: wpp.NewStreamCompactor(funcNames)}
 }
 
 // EnterCall records the start of an invocation of f.
 func (s *StreamCompactor) EnterCall(f cfg.FuncID) { s.sc.EnterCall(f) }
 
-// Block records execution of block id in the current invocation.
-func (s *StreamCompactor) Block(id cfg.BlockID) { s.sc.Block(id) }
+// Blocks records execution of the blocks ids in the current
+// invocation.
+func (s *StreamCompactor) Blocks(ids []cfg.BlockID) { s.sc.Blocks(ids) }
 
 // ExitCall completes the current invocation.
 func (s *StreamCompactor) ExitCall() { s.sc.ExitCall() }
@@ -56,37 +46,15 @@ func (s *StreamCompactor) Finish() (*TWPP, wpp.Stats, error) {
 }
 
 // FinishCtx is Finish with cooperative cancellation, threaded through
-// the wrapped wpp.StreamCompactor's per-function assembly and checked
-// again between functions while rearranging the inverted traces.
+// the wrapped wpp.StreamCompactor's assembly (which waits for its DBB
+// batches whatever it returns) and the inversion stage.
 func (s *StreamCompactor) FinishCtx(ctx context.Context) (*TWPP, wpp.Stats, error) {
 	c, stats, err := s.sc.FinishCtx(ctx)
 	if err != nil {
 		return nil, stats, err
 	}
-	remap := s.sc.TraceRemap()
-	t := &TWPP{
-		FuncNames: c.FuncNames,
-		Root:      c.Root,
-		Funcs:     make([]FunctionTWPP, len(c.Funcs)),
-	}
-	for f := range c.Funcs {
-		if ctx.Err() != nil {
-			return nil, stats, ctx.Err()
-		}
-		ft := &c.Funcs[f]
-		out := &t.Funcs[f]
-		out.Fn = ft.Fn
-		out.Dicts = ft.Dicts
-		out.DictOf = ft.DictOf
-		out.CallCount = ft.CallCount
-		out.Traces = make([]*Trace, len(ft.Traces))
-		if f < len(s.traces) {
-			for prov, tr := range s.traces[f] {
-				out.Traces[remap[f][prov]] = tr
-			}
-		}
-	}
-	return t, stats, nil
+	t, err := FromCompactedWorkersCtx(ctx, c, 0)
+	return t, stats, err
 }
 
 // Ensure the sink contract stays satisfied.

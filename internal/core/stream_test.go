@@ -33,7 +33,7 @@ func randWPP(rng *rand.Rand) *trace.RawWPP {
 }
 
 // TestStreamCompactorMatchesBatchTWPP checks the online pipeline
-// (stream compaction + incremental timestamp inversion) produces a
+// (stream compaction + timestamp inversion at Finish) produces a
 // TWPP deeply equal to the batch Compact + FromCompacted path.
 func TestStreamCompactorMatchesBatchTWPP(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -10,6 +10,7 @@ package encoding
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrTruncated is returned when a decode runs off the end of its input.
@@ -31,6 +32,10 @@ func PutUvarint(dst []byte, v uint64) []byte {
 	}
 	return append(dst, byte(v))
 }
+
+// UvarintLen returns the length in bytes of v's unsigned LEB128
+// encoding, as PutUvarint would append it.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Uvarint decodes an unsigned LEB128 varint from the front of src. It
 // returns the value and the number of bytes consumed.

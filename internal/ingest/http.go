@@ -112,7 +112,9 @@ func (s *Server) ingestBody(r *http.Request, mount string) (IngestResponse, erro
 	}
 	s.mBytesIn.Add(uint64(maxInt64(size, 0)))
 	sc := core.NewStreamCompactor(rr.Names())
-	if err := rr.ReplayCtx(r.Context(), sc); err != nil {
+	err = rr.ReplayCtx(r.Context(), sc)
+	s.mEvents.Add(uint64(rr.Accepted()))
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return IngestResponse{}, cli.Usagef("body exceeds session limit %d", mbe.Limit)

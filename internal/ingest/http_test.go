@@ -8,18 +8,24 @@ package ingest_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"twpp/internal/encoding"
 	"twpp/internal/ingest"
 	"twpp/internal/segment"
+	"twpp/internal/sequitur"
 	"twpp/internal/testkit"
+	"twpp/internal/trace"
 	"twpp/internal/wppfile"
 )
 
@@ -113,6 +119,49 @@ func TestHTTPIngestErrors(t *testing.T) {
 	}
 	if n := metricValue(t, s, "twpp_ingest_panics_total"); n != 0 {
 		t.Fatalf("HTTP ingest caused %d panics", n)
+	}
+}
+
+// One WPP sent over HTTP and over a TCP session moves
+// twpp_ingest_events_total by the same amount: the symbols the demux
+// accepted, whether the session seals or is rejected mid-stream.
+func TestHTTPCountsEventsLikeTCP(t *testing.T) {
+	w := testkit.Generate(testkit.Config{Shape: testkit.Irregular, Seed: 24})
+	events := w.Linear()
+	// An ENTER beyond the name table halfway through: the demux
+	// accepts exactly the symbols before it.
+	half := len(events) / 2
+	bad := append(append(slices.Clone(events[:half]), sequitur.EnterMarker(len(w.FuncNames)+3)), events[half:]...)
+	header := wppfile.EncodeRaw(&trace.RawWPP{FuncNames: w.FuncNames})
+	for _, tc := range []struct {
+		name     string
+		events   []uint32
+		accepted uint64
+	}{
+		{"sealed", events, uint64(len(events))},
+		{"rejected", bad, uint64(half)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newInMemServer(t, ingest.Options{})
+			res := s.ServeSession(context.Background(), rwPair{bytes.NewReader(wireImage("tcp", w.FuncNames, tc.events)), io.Discard})
+			if res.OK() != (tc.name == "sealed") || res.Events != tc.accepted {
+				t.Fatalf("TCP result %+v, want %d events accepted", res, tc.accepted)
+			}
+			overTCP := metricValue(t, s, "twpp_ingest_events_total")
+
+			img := slices.Clone(header)
+			for _, sym := range tc.events {
+				img = encoding.PutUvarint(img, uint64(sym))
+			}
+			status, body := postBody(t, s.Handler(), "/v1/ingest/http", img)
+			if (status == http.StatusOK) != (tc.name == "sealed") {
+				t.Fatalf("HTTP status %d: %s", status, body)
+			}
+			overHTTP := metricValue(t, s, "twpp_ingest_events_total") - overTCP
+			if overTCP != tc.accepted || overHTTP != tc.accepted {
+				t.Fatalf("twpp_ingest_events_total moved by %d over TCP and %d over HTTP, want %d each", overTCP, overHTTP, tc.accepted)
+			}
+		})
 	}
 }
 

@@ -37,6 +37,7 @@ type session struct {
 	hello *Hello
 	sc    *core.StreamCompactor
 	demux *trace.Demux
+	syms  []uint32 // one EVENTS payload's decoded symbols, reused
 	// events counts symbols accepted; bytes counts EVENTS payload
 	// bytes, bounded by MaxSessionBytes.
 	events uint64
@@ -99,29 +100,40 @@ func (ss *session) run(ctx context.Context) Result {
 }
 
 // feedEvents decodes one EVENTS payload — whole uvarint symbols — and
-// feeds each through the demux, mirroring the offline raw reader's
-// validation exactly (symbol range check, empty-name-table strictness,
-// then trace.Demux structure checks).
+// feeds them through the demux as one slice, mirroring the offline raw
+// reader's validation exactly (symbol range check, empty-name-table
+// strictness, then trace.Demux structure checks). The symbols before
+// an invalid one are fed first, so a demux error among them wins, as
+// it would symbol by symbol.
 func (ss *session) feedEvents(payload []byte) error {
 	c := encoding.NewCursor(payload)
+	syms := ss.syms[:0]
+	var bad error
 	for !c.Done() {
 		sym, err := c.Uvarint()
 		if err != nil {
-			return err
+			bad = err
+			break
 		}
 		if sym > math.MaxUint32 {
-			return encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "ingest: symbol %d out of range", sym)
+			bad = encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "ingest: symbol %d out of range", sym)
+			break
 		}
 		if _, ok := sequitur.IsEnter(uint32(sym)); ok && len(ss.hello.Names) == 0 {
-			return &trace.StreamError{Kind: trace.StreamUnknownFunc, Pos: int(ss.events), Sym: uint32(sym)}
+			bad = &trace.StreamError{Kind: trace.StreamUnknownFunc, Pos: ss.demux.Accepted() + len(syms), Sym: uint32(sym)}
+			break
 		}
-		if err := ss.demux.Feed(uint32(sym)); err != nil {
-			return err
-		}
-		ss.events++
-		ss.srv.mEvents.Inc()
+		syms = append(syms, uint32(sym))
 	}
-	return nil
+	ss.syms = syms
+	err := ss.demux.Feed(syms...)
+	accepted := uint64(ss.demux.Accepted())
+	ss.srv.mEvents.Add(accepted - ss.events)
+	ss.events = accepted
+	if err != nil {
+		return err
+	}
+	return bad
 }
 
 // finish closes the stream, seals the compacted session into the

@@ -164,8 +164,7 @@ func (o WriteOptions) resolveBudget(t *core.TWPP) int64 {
 				total += int64(len(scratch))
 			}
 			for i, tr := range ft.Traces {
-				scratch = wppfile.AppendTraceRecord(scratch[:0], ft.DictOf[i], tr)
-				total += int64(len(scratch))
+				total += int64(wppfile.TraceRecordLen(ft.DictOf[i], tr))
 			}
 		}
 		budget := (total + int64(o.Segments) - 1) / int64(o.Segments)
@@ -227,8 +226,7 @@ func planSegments(t *core.TWPP, budget int64) [][]window {
 				cost += int64(len(scratch))
 				dictCounted[di] = true
 			}
-			scratch = wppfile.AppendTraceRecord(scratch[:0], ft.DictOf[i], tr)
-			cost += int64(len(scratch))
+			cost += int64(wppfile.TraceRecordLen(ft.DictOf[i], tr))
 			// Seal before adding when the segment already has content
 			// and this trace would push it past the budget.
 			if curSize > 0 && curSize+cost > budget {

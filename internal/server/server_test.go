@@ -125,9 +125,9 @@ func TestRequestTimeout504(t *testing.T) {
 func TestNotFound404(t *testing.T) {
 	s := newTestServer(t, Options{})
 	for _, path := range []string{
-		"/trace/99",       // absent function
-		"/stats/99",       // absent function
-		"/funcs?file=no",  // absent mount
+		"/trace/99",                     // absent function
+		"/stats/99",                     // absent function
+		"/funcs?file=no",                // absent mount
 		"/query?func=0&block=999&gen=2", // block never executes
 	} {
 		status, body := get(s, path)
@@ -144,12 +144,12 @@ func TestNotFound404(t *testing.T) {
 func TestUsage400(t *testing.T) {
 	s := newTestServer(t, Options{})
 	for _, path := range []string{
-		"/trace/xyz",                 // non-numeric function id
-		"/trace/1?trace=9999",        // trace index out of range
-		"/query?block=2",             // missing func
-		"/query?func=1",              // missing block
+		"/trace/xyz",                    // non-numeric function id
+		"/trace/1?trace=9999",           // trace index out of range
+		"/query?block=2",                // missing func
+		"/query?func=1",                 // missing block
 		"/query?func=1&block=2&gen=a,b", // bad gen list
-		"/cfg/1?trace=-3",            // negative trace index
+		"/cfg/1?trace=-3",               // negative trace index
 	} {
 		status, body := get(s, path)
 		if status != http.StatusBadRequest {

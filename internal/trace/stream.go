@@ -3,7 +3,9 @@
 // contract of that stream, Demux validates and routes a linear symbol
 // stream into a sink without materializing it, and Replay regenerates
 // the event stream from an in-memory WPP — so any sink can be driven
-// either from a file or from a tree.
+// either from a file or from a tree. Blocks travel in runs: one event
+// carries every block a call executes between two call boundaries, so
+// the per-event cost is paid per run, not per block.
 package trace
 
 import (
@@ -20,8 +22,10 @@ import (
 type EventSink interface {
 	// EnterCall records the start of an invocation of f.
 	EnterCall(f cfg.FuncID)
-	// Block records execution of block id in the current invocation.
-	Block(id cfg.BlockID)
+	// Blocks records execution of the blocks ids, in order, in the
+	// current invocation. ids is only valid during the call: a sink
+	// must copy what it keeps.
+	Blocks(ids []cfg.BlockID)
 	// ExitCall records the return of the current invocation.
 	ExitCall()
 }
@@ -136,39 +140,62 @@ type Demux struct {
 	depth  int
 	pos    int
 	rooted bool
+	ids    []cfg.BlockID // the run handed to Sink.Blocks, reused
 }
 
-// Feed routes one symbol. On error the sink has not seen the offending
-// symbol and the stream should be abandoned.
-func (d *Demux) Feed(sym uint32) error {
-	switch {
-	case sym == sequitur.ExitMarker:
-		if d.depth == 0 {
-			return &StreamError{Kind: StreamExitUnderflow, Pos: d.pos, Sym: sym}
+// Feed routes syms in order, delivering each maximal run of block
+// symbols inside a call as one Blocks event. On error the sink has
+// seen every event before the offending symbol and not that symbol,
+// and the stream should be abandoned.
+func (d *Demux) Feed(syms ...uint32) error {
+	base, run := d.pos, -1 // run: start of the pending block run, or -1
+	flush := func(i int) {
+		if run >= 0 {
+			d.ids = d.ids[:0]
+			for _, sym := range syms[run:i] {
+				d.ids = append(d.ids, cfg.BlockID(sym))
+			}
+			d.Sink.Blocks(d.ids)
+			run = -1
 		}
-		d.Sink.ExitCall()
-		d.depth--
-	default:
-		if f, ok := sequitur.IsEnter(sym); ok {
+	}
+	for i, sym := range syms {
+		pos := base + i
+		if sym == sequitur.ExitMarker {
+			if d.depth == 0 {
+				d.pos = pos
+				return &StreamError{Kind: StreamExitUnderflow, Pos: pos, Sym: sym}
+			}
+			flush(i)
+			d.Sink.ExitCall()
+			d.depth--
+		} else if f, ok := sequitur.IsEnter(sym); ok {
+			flush(i)
 			if d.NumFuncs > 0 && f >= d.NumFuncs {
-				return &StreamError{Kind: StreamUnknownFunc, Pos: d.pos, Sym: sym, Func: cfg.FuncID(f), Declared: d.NumFuncs}
+				d.pos = pos
+				return &StreamError{Kind: StreamUnknownFunc, Pos: pos, Sym: sym, Func: cfg.FuncID(f), Declared: d.NumFuncs}
 			}
 			if d.depth == 0 && d.rooted {
-				return &StreamError{Kind: StreamSecondRoot, Pos: d.pos, Sym: sym}
+				d.pos = pos
+				return &StreamError{Kind: StreamSecondRoot, Pos: pos, Sym: sym}
 			}
 			d.Sink.EnterCall(cfg.FuncID(f))
 			d.depth++
 			d.rooted = true
-		} else {
-			if d.depth == 0 {
-				return &StreamError{Kind: StreamBlockOutsideCall, Pos: d.pos, Sym: sym}
-			}
-			d.Sink.Block(cfg.BlockID(sym))
+		} else if d.depth == 0 {
+			d.pos = pos
+			return &StreamError{Kind: StreamBlockOutsideCall, Pos: pos, Sym: sym}
+		} else if run < 0 {
+			run = i
 		}
 	}
-	d.pos++
+	flush(len(syms))
+	d.pos = base + len(syms)
 	return nil
 }
+
+// Accepted reports how many symbols Feed has accepted so far.
+func (d *Demux) Accepted() int { return d.pos }
 
 // Close checks end-of-stream invariants: every call closed and a root
 // call present.
@@ -184,21 +211,30 @@ func (d *Demux) Close() error {
 
 // Replay regenerates the WPP's event stream in execution order,
 // interleaving each callee's events at its recorded call position —
-// the event-level equivalent of Linear.
+// the event-level equivalent of Linear. Each stretch of a trace
+// between two call positions is one Blocks event.
 func (w *RawWPP) Replay(sink EventSink) {
 	var rec func(n *CallNode)
 	rec = func(n *CallNode) {
 		sink.EnterCall(n.Fn)
 		tr := w.Traces[n.Trace]
-		child := 0
-		for i := 0; i <= len(tr); i++ {
-			for child < len(n.Children) && n.ChildPos[child] == i {
-				rec(n.Children[child])
-				child++
+		prev := 0
+		for i, ch := range n.Children {
+			// A position behind the previous one or past the trace's
+			// end is never reached, so that child and the rest are
+			// not replayed.
+			pos := n.ChildPos[i]
+			if pos < prev || pos > len(tr) {
+				break
 			}
-			if i < len(tr) {
-				sink.Block(tr[i])
+			if pos > prev {
+				sink.Blocks(tr[prev:pos])
+				prev = pos
 			}
+			rec(ch)
+		}
+		if prev < len(tr) {
+			sink.Blocks(tr[prev:])
 		}
 		sink.ExitCall()
 	}

@@ -74,11 +74,17 @@ func (b *Builder) EnterCall(f cfg.FuncID) {
 
 // Block records execution of block id in the current invocation.
 func (b *Builder) Block(id cfg.BlockID) {
+	b.Blocks([]cfg.BlockID{id})
+}
+
+// Blocks records execution of the blocks ids, in order, in the current
+// invocation.
+func (b *Builder) Blocks(ids []cfg.BlockID) {
 	if len(b.stack) == 0 {
 		panic("trace: block event outside any call")
 	}
 	cur := b.stack[len(b.stack)-1]
-	b.wpp.Traces[cur.Trace] = append(b.wpp.Traces[cur.Trace], id)
+	b.wpp.Traces[cur.Trace] = append(b.wpp.Traces[cur.Trace], ids...)
 }
 
 // ExitCall records the return of the current invocation.
@@ -141,8 +147,12 @@ type symbolCollector struct{ out []uint32 }
 func (s *symbolCollector) EnterCall(f cfg.FuncID) {
 	s.out = append(s.out, sequitur.EnterMarker(int(f)))
 }
-func (s *symbolCollector) Block(id cfg.BlockID) { s.out = append(s.out, uint32(id)) }
-func (s *symbolCollector) ExitCall()            { s.out = append(s.out, sequitur.ExitMarker) }
+func (s *symbolCollector) Blocks(ids []cfg.BlockID) {
+	for _, id := range ids {
+		s.out = append(s.out, uint32(id))
+	}
+}
+func (s *symbolCollector) ExitCall() { s.out = append(s.out, sequitur.ExitMarker) }
 
 // Linear flattens the WPP into the single interleaved symbol stream of
 // Figure 1, in the symbol vocabulary shared with the Sequitur baseline:
@@ -161,10 +171,8 @@ func (w *RawWPP) Linear() []uint32 {
 func FromLinear(stream []uint32, funcNames []string) (*RawWPP, error) {
 	b := NewBuilder(funcNames)
 	d := &Demux{Sink: b}
-	for _, sym := range stream {
-		if err := d.Feed(sym); err != nil {
-			return nil, err
-		}
+	if err := d.Feed(stream...); err != nil {
+		return nil, err
 	}
 	if err := d.Close(); err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package wpp
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"twpp/internal/cfg"
 )
@@ -13,8 +15,17 @@ import (
 // holding the full WPP: each call's path trace is buffered only while
 // the call is open, and on exit it is interned against the function's
 // unique traces (hash + verified equality) and either discarded as
-// redundant or DBB-compacted on the spot. Peak memory is
-// O(unique traces + open call stack + DCG) instead of O(trace).
+// redundant or queued for DBB compaction. Peak memory is
+// O(unique traces + open call stack + DCG) instead of O(trace); a
+// queued batch references only unique traces already kept.
+//
+// DBB discovery and the dictionary hash are pure functions of one
+// unique trace, so they run off the event loop: once the queued new
+// traces hold batchBlocks original blocks, one goroutine compacts the
+// whole batch. At most GOMAXPROCS batches run at once (the event loop
+// waits for a slot), and at GOMAXPROCS 1 a batch runs inline. FinishCtx
+// waits for every batch, on every return path, and re-raises on its
+// caller's goroutine a panic that a batch recovered.
 //
 // It implements trace.EventSink, so it can be driven from a live
 // tracer, from trace.RawWPP.Replay, or — the production path — from a
@@ -34,15 +45,6 @@ import (
 // restoring the documented first-occurrence order — then rewrites the
 // provisional DCG indices.
 type StreamCompactor struct {
-	// OnTrace, when non-nil, is invoked synchronously each time a new
-	// unique trace is interned, with the owning function, the
-	// provisional unique-trace index (sequential per function, in
-	// intern order), the dictionary-compacted trace, and the original
-	// (pre-dictionary) length. Downstream stages hook here to process
-	// each unique trace exactly once, incrementally; after Finish,
-	// TraceRemap converts provisional indices to final ones.
-	OnTrace func(fn cfg.FuncID, provIdx int, compacted PathTrace, origLen int)
-
 	funcNames []string
 	funcs     []streamFunc
 	stack     []streamFrame
@@ -54,25 +56,68 @@ type StreamCompactor struct {
 	// redundant — the overwhelmingly common case (Figure 8) — so
 	// steady-state ingestion allocates only on new unique traces.
 	spare    []PathTrace
-	remap    [][]int
 	finished bool
+
+	// queue collects new unique traces until they hold batchBlocks
+	// blocks; batches lists every batch launched, in order.
+	queue       *dbbBatch
+	queueBlocks int
+	batches     []*dbbBatch
+	// slots holds one token per running batch goroutine, GOMAXPROCS at
+	// most; nil at GOMAXPROCS 1, where batches run inline.
+	slots   chan struct{}
+	running sync.WaitGroup
+}
+
+// batchBlocks is the number of original blocks of new unique traces
+// that fill one background DBB batch: large enough that a batch
+// amortizes its goroutine, small enough that several run while the
+// stream is still being fed.
+const batchBlocks = 4096
+
+// dbbBatch is a run of new unique traces compacted together. While it
+// runs, the event loop only reads its traces' original blocks, which
+// are immutable once interned, and updates their firstSeq, a field the
+// batch never touches.
+type dbbBatch struct {
+	traces   []*uniqueTrace
+	panicked any // a panic recovered while compacting, re-raised by FinishCtx
+}
+
+// batchHook, when set (only ever by tests), runs at the start of every
+// batch.
+var batchHook func()
+
+// run compacts every trace of the batch, recovering a panic for
+// FinishCtx to re-raise.
+func (b *dbbBatch) run() {
+	defer func() { b.panicked = recover() }()
+	if batchHook != nil {
+		batchHook()
+	}
+	for _, u := range b.traces {
+		u.comp, u.dict = compactTrace(u.orig)
+		u.dictHash = hashDict(u.dict)
+	}
 }
 
 // uniqueTrace is one interned unique trace: the original block
-// sequence (kept for verified-equality lookups), its DBB-compacted
-// form and dictionary, and the earliest EnterCall sequence that
-// produced it.
+// sequence (kept for verified-equality lookups), the earliest
+// EnterCall sequence that produced it, and — written by its batch,
+// read only once FinishCtx has waited for it — its DBB-compacted form,
+// dictionary and dictionary hash.
 type uniqueTrace struct {
 	orig     PathTrace
+	firstSeq int
 	comp     PathTrace
 	dict     Dictionary
-	firstSeq int
+	dictHash uint64
 }
 
 // streamFunc is the per-function intern state.
 type streamFunc struct {
 	in        *Interner
-	uniq      []uniqueTrace
+	uniq      []*uniqueTrace
 	callCount int
 }
 
@@ -88,7 +133,11 @@ type streamFrame struct {
 // function names (they become Compacted.FuncNames; functions beyond
 // the name table may still appear in the stream).
 func NewStreamCompactor(funcNames []string) *StreamCompactor {
-	return &StreamCompactor{funcNames: funcNames}
+	s := &StreamCompactor{funcNames: funcNames}
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		s.slots = make(chan struct{}, procs)
+	}
+	return s
 }
 
 // EnterCall records the start of an invocation of f.
@@ -116,19 +165,20 @@ func (s *StreamCompactor) EnterCall(f cfg.FuncID) {
 	s.seq++
 }
 
-// Block records execution of block id in the current invocation.
-func (s *StreamCompactor) Block(id cfg.BlockID) {
+// Blocks records execution of the blocks ids in the current
+// invocation.
+func (s *StreamCompactor) Blocks(ids []cfg.BlockID) {
 	if len(s.stack) == 0 {
 		panic("wpp: block event outside any call")
 	}
 	fr := &s.stack[len(s.stack)-1]
-	fr.tr = append(fr.tr, id)
-	s.blocks++
+	fr.tr = append(fr.tr, ids...)
+	s.blocks += len(ids)
 }
 
 // ExitCall completes the current invocation: its trace is interned
-// against the function's unique traces and, when new, DBB-compacted
-// immediately (and announced via OnTrace).
+// against the function's unique traces and, when new, queued for DBB
+// compaction.
 func (s *StreamCompactor) ExitCall() {
 	if len(s.stack) == 0 {
 		panic("wpp: exit event outside any call")
@@ -140,15 +190,13 @@ func (s *StreamCompactor) ExitCall() {
 	idx, ok := fs.in.lookup(h, func(i int) bool { return tracesEqual(fs.uniq[i].orig, fr.tr) })
 	if !ok {
 		idx = len(fs.uniq)
-		comp, dict := compactTrace(fr.tr)
-		fs.uniq = append(fs.uniq, uniqueTrace{orig: fr.tr, comp: comp, dict: dict, firstSeq: fr.seq})
+		u := &uniqueTrace{orig: fr.tr, firstSeq: fr.seq}
+		fs.uniq = append(fs.uniq, u)
 		fs.in.insert(h, idx)
-		if s.OnTrace != nil {
-			s.OnTrace(fr.node.Fn, idx, comp, len(fr.tr))
-		}
+		s.enqueue(u)
 	} else {
-		if fr.seq < fs.uniq[idx].firstSeq {
-			fs.uniq[idx].firstSeq = fr.seq
+		if u := fs.uniq[idx]; fr.seq < u.firstSeq {
+			u.firstSeq = fr.seq
 		}
 		if cap(fr.tr) > 0 {
 			s.spare = append(s.spare, fr.tr)
@@ -157,6 +205,54 @@ func (s *StreamCompactor) ExitCall() {
 	fr.node.TraceIdx = idx
 	fs.callCount++
 	s.calls++
+}
+
+// enqueue queues a new unique trace for DBB compaction and launches
+// the queue once it holds batchBlocks blocks.
+func (s *StreamCompactor) enqueue(u *uniqueTrace) {
+	if s.queue == nil {
+		s.queue = &dbbBatch{}
+	}
+	s.queue.traces = append(s.queue.traces, u)
+	s.queueBlocks += len(u.orig)
+	if s.queueBlocks >= batchBlocks {
+		s.launch()
+	}
+}
+
+// launch starts the queued batch: inline at GOMAXPROCS 1, otherwise on
+// a goroutine once fewer than GOMAXPROCS batches are running.
+func (s *StreamCompactor) launch() {
+	b := s.queue
+	if b == nil {
+		return
+	}
+	s.queue, s.queueBlocks = nil, 0
+	s.batches = append(s.batches, b)
+	if s.slots == nil {
+		b.run()
+		return
+	}
+	s.slots <- struct{}{}
+	s.running.Add(1)
+	go func() {
+		defer func() {
+			<-s.slots
+			s.running.Done()
+		}()
+		b.run()
+	}()
+}
+
+// wait blocks until every launched batch has returned and re-raises
+// the first panic one of them recovered.
+func (s *StreamCompactor) wait() {
+	s.running.Wait()
+	for _, b := range s.batches {
+		if b.panicked != nil {
+			panic(b.panicked)
+		}
+	}
 }
 
 // Finish seals the stream and assembles the Compacted: unique traces
@@ -169,21 +265,16 @@ func (s *StreamCompactor) Finish() (*Compacted, Stats, error) {
 
 // FinishCtx is Finish with cooperative cancellation: the per-function
 // assembly loop checks ctx between functions, so sealing a stream with
-// very many functions can be abandoned promptly. Once FinishCtx has
-// been called — even if canceled — the compactor is sealed and cannot
-// be finished again.
+// very many functions can be abandoned promptly. Whatever it returns,
+// it first waits for every DBB batch, canceled or not. Once FinishCtx
+// has been called — even if canceled — the compactor is sealed and
+// cannot be finished again.
 func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, error) {
-	if s.finished {
-		return nil, Stats{}, fmt.Errorf("wpp: StreamCompactor already finished")
+	err := s.seal()
+	s.wait()
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	if len(s.stack) != 0 {
-		return nil, Stats{}, fmt.Errorf("wpp: event stream ended with %d unclosed calls", len(s.stack))
-	}
-	if s.root == nil {
-		return nil, Stats{}, fmt.Errorf("wpp: event stream contained no calls")
-	}
-	s.finished = true
-
 	numFuncs := len(s.funcNames)
 	if len(s.funcs) > numFuncs {
 		numFuncs = len(s.funcs)
@@ -201,7 +292,7 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 	stats.RawTraceBytes = 4 * s.blocks
 	stats.Calls = s.calls
 
-	s.remap = make([][]int, numFuncs)
+	remaps := make([][]int, len(s.funcs))
 	for f := range s.funcs {
 		if ctx.Err() != nil {
 			return nil, Stats{}, ctx.Err()
@@ -224,19 +315,18 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 		for final, prov := range order {
 			remap[prov] = final
 		}
-		s.remap[f] = remap
+		remaps[f] = remap
 
 		ft.Traces = make([]PathTrace, 0, n)
 		ft.OrigLen = make([]int, 0, n)
 		ft.DictOf = make([]int, 0, n)
 		dictSeen := newInterner()
 		for _, prov := range order {
-			u := &fs.uniq[prov]
-			dh := hashDict(u.dict)
-			di, ok := dictSeen.lookup(dh, func(i int) bool { return dictsEqual(ft.Dicts[i], u.dict) })
+			u := fs.uniq[prov]
+			di, ok := dictSeen.lookup(u.dictHash, func(i int) bool { return dictsEqual(ft.Dicts[i], u.dict) })
 			if !ok {
 				di = len(ft.Dicts)
-				dictSeen.insert(dh, di)
+				dictSeen.insert(u.dictHash, di)
 				ft.Dicts = append(ft.Dicts, u.dict)
 			}
 			ft.Traces = append(ft.Traces, u.comp)
@@ -256,7 +346,7 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 
 	var rewrite func(n *CallNode)
 	rewrite = func(n *CallNode) {
-		n.TraceIdx = s.remap[n.Fn][n.TraceIdx]
+		n.TraceIdx = remaps[n.Fn][n.TraceIdx]
 		for _, ch := range n.Children {
 			rewrite(ch)
 		}
@@ -265,7 +355,18 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 	return c, stats, nil
 }
 
-// TraceRemap returns, for each function, the mapping from provisional
-// unique-trace indices (the order OnTrace reported) to final indices
-// in the Compacted. It is only valid after Finish.
-func (s *StreamCompactor) TraceRemap() [][]int { return s.remap }
+// seal checks that the stream ended well-formed, marks the compactor
+// finished, and launches the last queued batch.
+func (s *StreamCompactor) seal() error {
+	switch {
+	case s.finished:
+		return fmt.Errorf("wpp: StreamCompactor already finished")
+	case len(s.stack) != 0:
+		return fmt.Errorf("wpp: event stream ended with %d unclosed calls", len(s.stack))
+	case s.root == nil:
+		return fmt.Errorf("wpp: event stream contained no calls")
+	}
+	s.finished = true
+	s.launch()
+	return nil
+}

@@ -94,48 +94,6 @@ func TestStreamCompactorFirstOccurrenceOrder(t *testing.T) {
 	}
 }
 
-// TestStreamCompactorOnTraceRemap checks the OnTrace hook fires once
-// per unique trace with provisional indices that TraceRemap maps onto
-// the final layout.
-func TestStreamCompactorOnTraceRemap(t *testing.T) {
-	w := recursiveWPP()
-	type seen struct {
-		fn      cfg.FuncID
-		prov    int
-		comp    PathTrace
-		origLen int
-	}
-	var hooks []seen
-	s := NewStreamCompactor(w.FuncNames)
-	s.OnTrace = func(fn cfg.FuncID, prov int, comp PathTrace, origLen int) {
-		hooks = append(hooks, seen{fn, prov, comp, origLen})
-	}
-	w.Replay(s)
-	c, stats, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hooks) != stats.UniqueTraces {
-		t.Fatalf("OnTrace fired %d times, want %d", len(hooks), stats.UniqueTraces)
-	}
-	remap := s.TraceRemap()
-	perFn := map[cfg.FuncID]int{}
-	for _, h := range hooks {
-		if h.prov != perFn[h.fn] {
-			t.Errorf("fn %d: provisional index %d, want sequential %d", h.fn, h.prov, perFn[h.fn])
-		}
-		perFn[h.fn]++
-		final := remap[h.fn][h.prov]
-		ft := &c.Funcs[h.fn]
-		if !tracesEqual(ft.Traces[final], h.comp) {
-			t.Errorf("fn %d prov %d -> final %d: compacted trace mismatch", h.fn, h.prov, final)
-		}
-		if ft.OrigLen[final] != h.origLen {
-			t.Errorf("fn %d final %d: OrigLen %d, want %d", h.fn, final, ft.OrigLen[final], h.origLen)
-		}
-	}
-}
-
 // TestStreamCompactorErrors covers the stream-shape errors Finish
 // reports.
 func TestStreamCompactorErrors(t *testing.T) {

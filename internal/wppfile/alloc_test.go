@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"twpp/internal/cfg"
 	"twpp/internal/core"
 	"twpp/internal/storage"
 	"twpp/internal/testkit"
@@ -166,5 +167,62 @@ func TestAppendTraceRecordZeroAllocs(t *testing.T) {
 	buf := wppfile.AppendTraceRecord(nil, 0, tr)
 	if n := testing.AllocsPerRun(100, func() { buf = wppfile.AppendTraceRecord(buf[:0], 0, tr) }); n != 0 {
 		t.Errorf("AppendTraceRecord allocates %.1f times per record, want 0", n)
+	}
+}
+
+// TraceRecordLen sizes a record exactly as AppendTraceRecord encodes
+// it, on every trace of the v1 fixtures, of a seeded generator sweep,
+// and of traces whose ids, lengths and dictionary indices need
+// multi-byte varints.
+func TestTraceRecordLenMatchesAppend(t *testing.T) {
+	var twpps []*core.TWPP
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "v1", "*.twpp"))
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("v1 fixtures: %v (%d found)", err, len(fixtures))
+	}
+	for _, p := range fixtures {
+		cf, err := wppfile.OpenCompacted(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw, err := cf.ReadAll()
+		cf.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twpps = append(twpps, tw)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, w := range testkit.Corpus(seed * 1000) {
+			c, _ := wpp.Compact(w)
+			twpps = append(twpps, core.FromCompacted(c))
+		}
+	}
+	var buf []byte
+	check := func(dictIdx int, tr *core.Trace) {
+		buf = wppfile.AppendTraceRecord(buf[:0], dictIdx, tr)
+		if got := wppfile.TraceRecordLen(dictIdx, tr); got != len(buf) {
+			t.Fatalf("TraceRecordLen(%d, %d-block trace) = %d, AppendTraceRecord wrote %d bytes", dictIdx, len(tr.Blocks), got, len(buf))
+		}
+	}
+	records := 0
+	for _, tw := range twpps {
+		for f := range tw.Funcs {
+			ft := &tw.Funcs[f]
+			for i, tr := range ft.Traces {
+				check(ft.DictOf[i], tr)
+				records++
+			}
+		}
+	}
+	long := make(wpp.PathTrace, 20000)
+	for i := range long {
+		long[i] = cfg.BlockID(1<<31 + i%300)
+	}
+	for _, dictIdx := range []int{0, 127, 128, 1 << 20, 1<<62 + 5} {
+		check(dictIdx, core.FromPath(long))
+	}
+	if records < 1000 {
+		t.Fatalf("checked only %d records", records)
 	}
 }

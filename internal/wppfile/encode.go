@@ -266,6 +266,22 @@ func AppendTraceRecord(buf []byte, dictIdx int, tr *core.Trace) []byte {
 	return buf
 }
 
+// TraceRecordLen returns the length of the trace record
+// AppendTraceRecord would append, without encoding it.
+func TraceRecordLen(dictIdx int, tr *core.Trace) int {
+	n := encoding.UvarintLen(uint64(dictIdx)) + encoding.UvarintLen(uint64(tr.Len)) + encoding.UvarintLen(uint64(len(tr.Blocks)))
+	for _, bt := range tr.Blocks {
+		n += encoding.UvarintLen(uint64(bt.Block)) + encoding.UvarintLen(uint64(bt.Times.Words()))
+		for _, e := range bt.Times {
+			vals, k := e.Signed()
+			for _, v := range vals[:k] {
+				n += encoding.UvarintLen(encoding.ZigZag(v))
+			}
+		}
+	}
+	return n
+}
+
 // encodeDCG serializes the compacted DCG (function, unique trace
 // index, children with positions) in preorder.
 func encodeDCG(root *wpp.CallNode) []byte {

@@ -204,7 +204,7 @@ func (b *ExtractBuffer) reserveEntries(n int) core.Seq {
 		b.entries = make(core.Seq, 0, 2*cap(b.entries)+n)
 	}
 	l := len(b.entries)
-	return b.entries[l:l : l+n]
+	return b.entries[l : l : l+n]
 }
 
 // commitEntries advances the entries arena past the seq just decoded.

@@ -130,10 +130,10 @@ func (s *scanSink) EnterCall(f cfg.FuncID) {
 	s.stack = append(s.stack, scanFrame{isTarget: f == s.target})
 }
 
-func (s *scanSink) Block(id cfg.BlockID) {
+func (s *scanSink) Blocks(ids []cfg.BlockID) {
 	top := &s.stack[len(s.stack)-1]
 	if top.isTarget {
-		top.tr = append(top.tr, id)
+		top.tr = append(top.tr, ids...)
 	}
 }
 

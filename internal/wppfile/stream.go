@@ -27,6 +27,7 @@ import (
 type RawStreamReader struct {
 	c     *encoding.StreamCursor
 	names []string
+	demux trace.Demux
 }
 
 // NewRawStreamReader starts reading an uncompacted WPP stream from r.
@@ -58,55 +59,65 @@ func (rr *RawStreamReader) Replay(sink trace.EventSink) error {
 // name table is rejected as a structured *trace.StreamError before any
 // sink sizes per-function state by an attacker-controlled id.
 func (rr *RawStreamReader) ReplayCtx(ctx context.Context, sink trace.EventSink) error {
-	d := &trace.Demux{Sink: sink, NumFuncs: len(rr.names)}
+	rr.demux = trace.Demux{Sink: sink, NumFuncs: len(rr.names)}
 	// Symbols are batch-decoded from the cursor's buffered window (at
 	// most replayBatch per outer iteration, so cancellation stays
-	// prompt). A symbol whose varint straddles the buffer edge — or is
+	// prompt) and fed to the demux as one slice, which delivers block
+	// runs. A symbol whose varint straddles the buffer edge — or is
 	// malformed — falls through to the per-value path, which reports
 	// errors with exact parity to the historical symbol-at-a-time loop.
 	const replayBatch = 512
 	var vals [replayBatch]uint64
 	var offs [replayBatch]int
-	n := 0
+	var syms [replayBatch]uint32
 	for !rr.c.Done() {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		k := rr.c.UvarintBatchBuffered(vals[:], offs[:])
 		if k == 0 {
-			symAt := rr.c.Pos()
-			sym, err := rr.c.Uvarint()
+			offs[0] = rr.c.Pos()
+			v, err := rr.c.Uvarint()
 			if err != nil {
 				return err
 			}
-			n++
-			if err := rr.feedSym(d, sym, symAt, n); err != nil {
-				return err
-			}
-			continue
+			vals[0], k = v, 1
 		}
-		for i := 0; i < k; i++ {
-			n++
-			if err := rr.feedSym(d, vals[i], offs[i], n); err != nil {
-				return err
+		// Validate the decoded symbols, feed the valid prefix, and only
+		// then report an invalid symbol, so a demux error earlier in the
+		// batch still wins.
+		n := 0
+		var bad error
+		for ; n < k; n++ {
+			if syms[n], bad = rr.checkSym(vals[n], offs[n], rr.demux.Accepted()+n); bad != nil {
+				break
 			}
+		}
+		if err := rr.demux.Feed(syms[:n]...); err != nil {
+			return err
+		}
+		if bad != nil {
+			return bad
 		}
 	}
-	return d.Close()
+	return rr.demux.Close()
 }
 
-// feedSym validates one decoded symbol and feeds it to the demux.
-// symAt is the stream offset of the symbol's first byte; n is the
-// 1-based symbol count so far.
-func (rr *RawStreamReader) feedSym(d *trace.Demux, sym uint64, symAt, n int) error {
+// Accepted reports how many symbols the last replay fed to its sink
+// without error.
+func (rr *RawStreamReader) Accepted() int { return rr.demux.Accepted() }
+
+// checkSym validates one decoded symbol: symAt is the stream offset of
+// its first byte, pos its 0-based position in the symbol stream.
+func (rr *RawStreamReader) checkSym(sym uint64, symAt, pos int) (uint32, error) {
 	if sym > math.MaxUint32 {
-		return encoding.Errf(encoding.CodeCorrupt, int64(symAt), "wppfile: symbol %d out of range", sym)
+		return 0, encoding.Errf(encoding.CodeCorrupt, int64(symAt), "wppfile: symbol %d out of range", sym)
 	}
 	// A header with an empty name table declares no callable
 	// functions at all; Demux treats NumFuncs == 0 as "no bound", so
 	// keep the historical strictness here.
 	if f, ok := sequitur.IsEnter(uint32(sym)); ok && len(rr.names) == 0 {
-		return &trace.StreamError{Kind: trace.StreamUnknownFunc, Pos: n - 1, Sym: uint32(sym), Func: cfg.FuncID(f)}
+		return 0, &trace.StreamError{Kind: trace.StreamUnknownFunc, Pos: pos, Sym: uint32(sym), Func: cfg.FuncID(f)}
 	}
-	return d.Feed(uint32(sym))
+	return uint32(sym), nil
 }

@@ -27,8 +27,9 @@ type StreamResult struct {
 // StreamCompact reads a raw WPP stream from r and writes the compacted
 // indexed format to w, running the whole pipeline online: the input is
 // consumed through a bounded buffer, each call's path trace is deduped
-// by hash the moment the call returns, and the timestamp inversion
-// runs once per unique trace as it is interned. Peak memory is
+// by hash the moment the call returns, new unique traces are
+// DBB-compacted in background batches, and the timestamp inversion
+// runs once per unique trace when the stream ends. Peak memory is
 // O(unique traces + open call stack + dynamic call graph), not
 // O(trace length).
 //
