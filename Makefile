@@ -70,9 +70,17 @@ bench:
 	$(GO) test -run xxx -bench 'CompactTrace|FromPath' -benchtime 100x ./internal/wpp/ ./internal/core/
 
 # Peak-heap comparison of the batch and streaming compaction pipelines
-# (one iteration each; fast enough for local runs and CI).
+# (one iteration each; fast enough for local runs and CI). Fails unless
+# the streaming peak is below the batch peak: the claim the streaming
+# pipeline exists for, which also bounds its in-memory image encode.
 bench-mem:
-	$(GO) test -run xxx -bench StreamCompact -benchtime 1x .
+	@out=$$($(GO) test -run xxx -bench StreamCompact -benchtime 1x .) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk '{ for (i = 2; i <= NF; i++) if ($$i == "peak-heap-bytes") { \
+			if ($$1 ~ /\/batch/) batch = $$(i-1); if ($$1 ~ /\/stream/) stream = $$(i-1) } } \
+		END { if (batch == "" || stream == "") { print "bench-mem: peak-heap-bytes not reported"; exit 1 } \
+			printf "bench-mem: stream peak %.1f MB, batch peak %.1f MB\n", stream / 1e6, batch / 1e6; \
+			if (stream + 0 >= batch + 0) { print "bench-mem: streaming peak is not below the batch peak"; exit 1 } }'
 
 # The benchmark's own build and correctness checks (perfbench/ is a
 # separate module, outside `go test ./...`). Timed runs go through

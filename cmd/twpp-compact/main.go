@@ -6,18 +6,16 @@
 // Usage:
 //
 //	twpp-compact -in trace.wpp [-o trace.twpp] [-j workers] [-stream]
-//	             [-format 2] [-segment-bytes n] [-verify]
-//	             [-sequitur trace.seq]
+//	             [-segment-bytes n] [-verify] [-sequitur trace.seq]
 //
-// -format selects the container layout (2 = sectioned with checksums,
-// the default; 1 = legacy). -segment-bytes writes a segmented
-// container directory of sealed v2 segments with roughly that many
-// bytes each, instead of one file; the default output name then gains
-// a .twppd suffix. -verify reopens the output after writing and
-// checks it end to end: every section checksum, plus a full decode of
-// the call graph and every function's blocks. Verification failures
-// exit with the same structured codes as reads (3 corrupt, 4
-// truncated, 5 limit).
+// The output is a format v2 container (sectioned, with checksums).
+// -segment-bytes writes a segmented container directory of sealed v2
+// segments with roughly that many bytes each, instead of one file; the
+// default output name then gains a .twppd suffix. -verify reopens the
+// output after writing and checks it end to end: every section
+// checksum, plus a full decode of the call graph and every function's
+// blocks. Verification failures exit with the same structured codes as
+// reads (3 corrupt, 4 truncated, 5 limit).
 package main
 
 import (
@@ -38,7 +36,6 @@ type compactConfig struct {
 	out      string
 	seq      string
 	workers  int
-	format   int
 	segBytes int64
 	stream   bool
 	verify   bool
@@ -51,7 +48,6 @@ func main() {
 	flag.StringVar(&c.out, "o", "", "output compacted TWPP file (default: input with .twpp)")
 	flag.StringVar(&c.seq, "sequitur", "", "also write the Sequitur-compressed baseline here")
 	flag.IntVar(&c.workers, "j", 0, "compaction worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&c.format, "format", 0, "container format: 2 sectioned+checksums (default), 1 legacy")
 	flag.Int64Var(&c.segBytes, "segment-bytes", 0, "write a segmented container directory with this per-segment byte budget (0 = single file)")
 	flag.BoolVar(&c.stream, "stream", false, "streaming pipeline: bounded-memory ingestion, identical output")
 	flag.BoolVar(&c.verify, "verify", false, "reopen the output and verify checksums plus a full decode")
@@ -71,15 +67,7 @@ func run(ctx context.Context, c compactConfig) error {
 	if in == "" {
 		return cli.Usagef("missing -in")
 	}
-	switch c.format {
-	case 0, twpp.FormatV1, twpp.FormatV2:
-	default:
-		return cli.Usagef("unknown -format %d (want 1 or 2)", c.format)
-	}
 	segmented := c.segBytes > 0
-	if segmented && c.format == twpp.FormatV1 {
-		return cli.Usagef("-segment-bytes seals v2 segments; drop -format 1")
-	}
 	if out == "" {
 		if segmented {
 			out = in + ".twppd"
@@ -87,7 +75,7 @@ func run(ctx context.Context, c compactConfig) error {
 			out = in + ".twpp"
 		}
 	}
-	opts := twpp.CompactOptions{Workers: c.workers, Format: c.format}
+	opts := twpp.CompactOptions{Workers: c.workers}
 	segOpts := twpp.SegmentOptions{SegmentBytes: c.segBytes, Workers: c.workers}
 	var (
 		stats         twpp.CompactStats

@@ -59,6 +59,9 @@ func TestRunCompacts(t *testing.T) {
 	if len(cf.Functions()) != 2 {
 		t.Errorf("functions = %v", cf.Functions())
 	}
+	if got := cf.FormatVersion(); got != twpp.FormatV2 {
+		t.Errorf("FormatVersion() = %d, want %d", got, twpp.FormatV2)
+	}
 	if fi, err := os.Stat(seq); err != nil || fi.Size() == 0 {
 		t.Errorf("sequitur baseline missing: %v", err)
 	}
@@ -95,41 +98,6 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 	// -stream refuses the in-memory-only Sequitur baseline.
 	if err := run(context.Background(), compactConfig{in: in, out: stream, seq: filepath.Join(dir, "t.seq"), workers: 1, stream: true}); err == nil {
 		t.Error("-stream with -sequitur: want error")
-	}
-}
-
-// -format 1 writes the legacy layout; -format 2 the sectioned default.
-// Both must reopen cleanly and report their version, and v2 must be
-// the default when no format is given.
-func TestRunFormats(t *testing.T) {
-	dir := t.TempDir()
-	in := writeTrace(t, dir)
-	for _, tc := range []struct {
-		name   string
-		format int
-		want   int
-	}{
-		{"default is v2", 0, twpp.FormatV2},
-		{"explicit v1", twpp.FormatV1, twpp.FormatV1},
-		{"explicit v2", twpp.FormatV2, twpp.FormatV2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			out := filepath.Join(dir, tc.name+".twpp")
-			if err := run(context.Background(), compactConfig{in: in, out: out, workers: 1, format: tc.format, verify: true}); err != nil {
-				t.Fatal(err)
-			}
-			f, err := twpp.OpenFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if got := f.FormatVersion(); got != tc.want {
-				t.Errorf("FormatVersion() = %d, want %d", got, tc.want)
-			}
-		})
-	}
-	if err := run(context.Background(), compactConfig{in: in, format: 7}); err == nil {
-		t.Error("bad -format: want error")
 	}
 }
 
@@ -189,11 +157,6 @@ func TestRunSegmented(t *testing.T) {
 	}
 	if !bytes.Equal(bm, sm) {
 		t.Error("-stream segmented manifest differs from batch manifest")
-	}
-
-	// Segments are sealed v2 files; the legacy layout cannot carry them.
-	if err := run(context.Background(), compactConfig{in: in, segBytes: 16, format: twpp.FormatV1}); err == nil {
-		t.Error("-segment-bytes with -format 1: want usage error")
 	}
 }
 

@@ -103,7 +103,7 @@ func run(srcPath, inPath, input, funcName string, block int, varName string, ins
 	}
 	if verbose {
 		fmt.Fprintf(out, "%s: %d functions, %d unique traces, container format v%d\n",
-			srcPath, len(prog.Names), len(w.Traces), twpp.DefaultFormat)
+			srcPath, len(prog.Names), len(w.Traces), twpp.FormatV2)
 	}
 
 	fnID, ok := prog.FuncByName(funcName)

@@ -122,7 +122,7 @@ func TestFacadeRoundTripAllProfiles(t *testing.T) {
 			if err := testkit.RoundTrip(run.WPP); err != nil {
 				t.Errorf("RoundTrip: %v", err)
 			}
-			if err := testkit.BatchStreamParity(run.WPP); err != nil {
+			if err := testkit.BatchStreamParity(run.WPP, 0); err != nil {
 				t.Errorf("BatchStreamParity: %v", err)
 			}
 			if err := testkit.ExtractVsRawScan(run.WPP); err != nil {

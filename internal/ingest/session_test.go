@@ -217,31 +217,28 @@ func TestIdleTimeout(t *testing.T) {
 }
 
 // Three sessions streamed into one mount must extract identically to
-// the offline Writer fed the same sessions in the same order — the
-// multi-session merged view is semantic (per-segment bytes stay
-// covered by the parity oracle).
+// an offline container built from the same sessions in the same order
+// (Write, then Append) — the multi-session merged view is semantic
+// (per-segment bytes stay covered by the parity oracle).
 func TestMultiSessionMountMatchesOfflineWriter(t *testing.T) {
 	seeds := []int64{10, 11, 12}
 	srv, addr := startServer(t, ingest.Options{Workers: 1})
 
 	offDir := t.TempDir() + "/off"
-	ow, err := segment.NewWriter(offDir, segment.WriteOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range seeds {
+	for i, seed := range seeds {
 		w := testkit.Generate(testkit.Config{Shape: testkit.Irregular, Seed: seed})
 		p := &testkit.Producer{Addr: addr, Mount: "multi", Names: w.FuncNames, Events: w.Linear()}
 		res, err := p.Run()
 		if err != nil || !res.OK() {
 			t.Fatalf("seed %d: err=%v res=%+v", seed, err, res)
 		}
-		if err := ow.Add(rawToTWPP(t, w)); err != nil {
+		seal := segment.Append
+		if i == 0 {
+			seal = segment.Write
+		}
+		if _, err := seal(offDir, rawToTWPP(t, w), segment.WriteOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := ow.Finish(); err != nil {
-		t.Fatal(err)
 	}
 
 	got := openSet(t, srv.MountDir("multi"))

@@ -12,6 +12,7 @@ import (
 	"twpp"
 	"twpp/internal/cli"
 	"twpp/internal/passes"
+	"twpp/internal/wppfile"
 )
 
 // compileToFile traces src and stores it as a v2 file, returning the
@@ -276,7 +277,7 @@ func TestKPathsCrossContainerMatrix(t *testing.T) {
 
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "t1.twpp")
-	if err := twpp.WriteFileOpts(v1, tw, twpp.CompactOptions{Format: twpp.FormatV1}); err != nil {
+	if err := wppfile.WriteCompactedFormat(v1, tw, 1, wppfile.FormatV1); err != nil {
 		t.Fatal(err)
 	}
 	v2 := filepath.Join(dir, "t2.twpp")

@@ -1,28 +1,28 @@
-// Append: the hot write path. Where Writer creates a brand-new
-// container (generation 1) from a batch of sessions, Append seals one
-// more session into a container that is already live — the operation a
-// long-running ingest service performs once per finished stream. The
-// new session's segments are written under the NEXT generation's names
-// (never colliding with live files), its entries go to the tail of the
-// manifest, and the manifest rewrite is the atomic commit point:
-// concurrent readers (a colocated or remote twpp-serve) observe either
-// the old container or the old container plus the whole new session,
-// never a partial session. A crash between segment writes and the
-// manifest rewrite leaves only unreferenced files.
+// Append and commit: the one way a session becomes part of a
+// container. Write (writer.go) commits the first session of a new
+// container; Append seals one more session into a container that is
+// already live — the operation a long-running ingest service performs
+// once per finished stream. Both run commit: the session's segments are
+// written under the NEXT generation's names (never colliding with live
+// files), its entries go to the tail of the manifest, and the manifest
+// rewrite is the atomic commit point: concurrent readers (a colocated
+// or remote twpp-serve) observe either the old container or the old
+// container plus the whole new session, never a partial session. A
+// failed commit removes the segment files it wrote; a crash between
+// segment writes and the manifest rewrite leaves only unreferenced
+// files.
 //
 // Trace-numbering invariant: appending at the tail keeps every earlier
 // session's traces at the head of each merged per-function trace list,
 // so the container DCG (first session, FlagDCG) keeps valid set-global
-// indices. The appended session gets the next write-session id, so its
+// indices. Each commit gets the next write-session id, so a session's
 // own windows stay provably disjoint for the spanning merge.
 //
-// Unlike Writer.Add — which strips the root call graph from every
-// session after the first — Append keeps the session's own DCG section
-// in its first segment's bytes (only the FlagDCG manifest bit is
-// withheld when the container already has one). That makes a
-// single-segment appended session byte-identical to the offline
-// streaming pipeline's v2 file for the same events, which is the
-// ingest parity oracle's invariant; nothing reads an unflagged DCG
+// Every session keeps its own DCG section in its first segment's bytes;
+// only the FlagDCG manifest bit is withheld when the container already
+// has one. That makes a single-segment session byte-identical to the
+// offline streaming pipeline's v2 file for the same events, which is
+// the ingest parity oracle's invariant; nothing reads an unflagged DCG
 // section, so readers are unaffected.
 
 package segment
@@ -38,8 +38,9 @@ import (
 
 // sealSegment encodes one segment TWPP as a v2 file under the
 // canonical name for (generation, ordinal) and returns its manifest
-// entry. Shared by Writer.seal (generation 1) and Append (later
-// generations).
+// entry. It is the only function that writes segment files: commit
+// seals each session's segments through it and Merger.fold each merged
+// segment.
 func sealSegment(dir string, t *core.TWPP, generation uint64, ordinal int, workers int, session uint64, flagDCG bool) (Entry, error) {
 	data, err := wppfile.EncodeCompactedFormat(t, workers, wppfile.FormatV2)
 	if err != nil {
@@ -72,6 +73,18 @@ func Append(dir string, t *core.TWPP, opts WriteOptions) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return commit(dir, t, opts, man)
+}
+
+// commit seals t as the session after man's highest one, at man's next
+// generation, and installs the extended manifest. On failure it
+// removes the segment files it wrote and leaves man installed (or, for
+// a new container, no manifest at all).
+func commit(dir string, t *core.TWPP, opts WriteOptions, man *Manifest) (*Manifest, error) {
+	plans := planSegments(t, opts.resolveBudget(t))
+	if len(plans) == 0 {
+		return nil, fmt.Errorf("segment: nothing to seal")
+	}
 	gen := man.Generation + 1
 	var session uint64
 	for _, e := range man.Segments {
@@ -82,7 +95,6 @@ func Append(dir string, t *core.TWPP, opts WriteOptions) (*Manifest, error) {
 	session++
 	hasDCG := man.DCGIndex() >= 0
 
-	plans := planSegments(t, opts.resolveBudget(t))
 	var written []string
 	fail := func(err error) (*Manifest, error) {
 		for _, name := range written {
@@ -104,9 +116,6 @@ func Append(dir string, t *core.TWPP, opts WriteOptions) (*Manifest, error) {
 		}
 		written = append(written, entry.Name)
 		nm.Segments = append(nm.Segments, entry)
-	}
-	if len(written) == 0 {
-		return nil, fmt.Errorf("segment: nothing to append")
 	}
 	if err := WriteManifest(dir, nm); err != nil {
 		return fail(err)

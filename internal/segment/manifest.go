@@ -1,9 +1,10 @@
 // Package segment implements segmented TWPP containers: a directory
 // holding a small manifest plus N sealed v2 segment files, each a
 // complete compacted container in its own right. The layout is
-// LSM-shaped — writers seal small segments, a background merger folds
-// adjacent runs into larger ones — while reads preserve the paper's
-// one-positioned-read-per-function invariant within every segment.
+// LSM-shaped — Write and Append seal small segments, a background
+// merger folds adjacent runs into larger ones — while reads preserve
+// the paper's one-positioned-read-per-function invariant within every
+// segment.
 //
 // The manifest is the unit of atomicity: it names the live segments in
 // order, records each one's size and content hash (derived from the v2
@@ -64,8 +65,8 @@ type Entry struct {
 	// Flags carries FlagDCG and future per-segment bits.
 	Flags uint64
 	// Session identifies the write session that sealed this segment
-	// (one ordinal per Writer.Add; merges mint fresh ids unless every
-	// folded input shares one). Windows sealed by the same session
+	// (one ordinal per Write or Append; merges mint fresh ids unless
+	// every folded input shares one). Windows sealed by the same session
 	// partition one compaction's unique-trace lists, so a function
 	// spanning only same-session segments merges by pure
 	// concatenation — no per-trace dedup hashing. 0 means unknown and

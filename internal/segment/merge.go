@@ -234,23 +234,7 @@ func (m *Merger) fold(ctx context.Context, v *setView, lo, hi int) (Entry, error
 		t.Root = root
 	}
 
-	data, err := wppfile.EncodeCompactedFormat(t, m.opts.Workers, wppfile.FormatV2)
-	if err != nil {
-		return Entry{}, err
-	}
-	hash, ok := wppfile.ContentHashBytes(data)
-	if !ok {
-		return Entry{}, fmt.Errorf("segment: merged segment has no content hash")
-	}
-	name := segmentName(v.man.Generation+1, lo)
-	if err := os.WriteFile(filepath.Join(m.set.dir, name), data, 0o644); err != nil {
-		return Entry{}, err
-	}
-	e := Entry{Name: name, Size: int64(len(data)), Hash: hash, Session: foldSession(v.man, lo, hi)}
-	if carryDCG {
-		e.Flags |= FlagDCG
-	}
-	return e, nil
+	return sealSegment(m.set.dir, t, v.man.Generation+1, lo, m.opts.Workers, foldSession(v.man, lo, hi), carryDCG)
 }
 
 // foldSession picks the merged segment's write session. When every

@@ -165,7 +165,7 @@ func TestMergeDeterminism(t *testing.T) {
 	}
 }
 
-// Two sessions appended to one Writer must merge keep-first: summed
+// Two sessions (Write, then Append) must merge keep-first: summed
 // call counts, first session's DCG, and a trace list equal to the
 // deduplicated concatenation (checked against an independent quadratic
 // merge).
@@ -173,25 +173,14 @@ func TestMultiSessionAppend(t *testing.T) {
 	t1 := buildTWPP(t, testkit.Config{Shape: testkit.Periodic, Seed: 1})
 	t2 := buildTWPP(t, testkit.Config{Shape: testkit.Periodic, Seed: 2})
 
-	dir := filepath.Join(t.TempDir(), "seg")
-	w, err := segment.NewWriter(dir, segment.WriteOptions{Segments: 2, Workers: 1})
-	if err != nil {
+	opts := segment.WriteOptions{Segments: 2, Workers: 1}
+	dir, set := writeSegmented(t, t1, opts)
+	if _, err := segment.Append(dir, t2, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(t1); err != nil {
-		t.Fatal(err)
+	if refreshed, err := set.Refresh(); err != nil || !refreshed {
+		t.Fatalf("Refresh: refreshed=%v err=%v", refreshed, err)
 	}
-	if err := w.Add(t2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	set, err := segment.Open(dir, wppfile.OpenOptions{VerifyChecksums: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
 
 	for fn := range t1.Funcs {
 		want := quadraticMerge(&t1.Funcs[fn], &t2.Funcs[fn])
@@ -217,8 +206,8 @@ func TestMultiSessionAppend(t *testing.T) {
 	}
 }
 
-// Session tags drive the disjoint fast path: one Add stamps all its
-// segments with one session, a second Add gets the next, and folding a
+// Session tags drive the disjoint fast path: Write stamps all its
+// segments with one session, an Append gets the next, and folding a
 // mixed-session run mints a fresh id — while folding a single-session
 // run keeps the session, so disjointness survives partial merges.
 func TestSessionTags(t *testing.T) {
@@ -245,21 +234,12 @@ func TestSessionTags(t *testing.T) {
 		}
 	}
 
+	opts := segment.WriteOptions{Segments: 2, Workers: 1}
 	dir := filepath.Join(t.TempDir(), "seg")
-	w, err := segment.NewWriter(dir, segment.WriteOptions{Segments: 2, Workers: 1})
-	if err != nil {
+	if _, err := segment.Write(dir, t1, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add(t2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := segment.ReadManifest(dir)
+	man, err := segment.Append(dir, t2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +255,7 @@ func TestSessionTags(t *testing.T) {
 		}
 	}
 	if len(sessions) != 2 {
-		t.Fatalf("two Adds should yield two sessions, got %v", sessions)
+		t.Fatalf("Write + Append should yield two sessions, got %v", sessions)
 	}
 
 	// Folding the whole (mixed-session) container mints a fresh id.

@@ -1,16 +1,17 @@
-// Writer: seals a compacted TWPP into one or more small v2 segment
-// files plus a manifest. Functions pack into segments hottest-first;
-// a function whose traces exceed the per-segment budget is split into
-// trace windows across consecutive segments (a trace itself is never
-// split). Because the windows partition each function's unique-trace
-// list in order, the set-merged view concatenates back to exactly the
+// Write and segment planning: how a compacted TWPP is cut into small
+// v2 segment files. Write seals the first session of a new container
+// and Append (append.go) every later one; both commit through the same
+// routine. Functions pack into segments hottest-first; a function
+// whose traces exceed the per-segment budget is split into trace
+// windows across consecutive segments (a trace itself is never split).
+// Because the windows partition each function's unique-trace list in
+// order, the set-merged view concatenates back to exactly the
 // single-file trace order — segmented extraction is byte-identical to
 // the single-file container.
 
 package segment
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,7 +25,7 @@ import (
 // WriteOptions leaves both sizing knobs zero.
 const DefaultSegmentBytes = int64(4) << 20
 
-// WriteOptions configures Write and NewWriter.
+// WriteOptions configures Write and Append.
 type WriteOptions struct {
 	// SegmentBytes is the target encoded payload per segment; a
 	// segment seals once its block bytes reach it. 0 selects
@@ -41,114 +42,18 @@ type WriteOptions struct {
 	Workers int
 }
 
-// Writer accumulates sessions into a new segmented container
-// directory. Add seals each TWPP into one or more segments; Finish
-// writes the generation-1 manifest, the commit point — a crash before
-// Finish leaves no manifest and therefore no container.
-//
-// Only the first Add's dynamic call graph is retained (flagged
-// FlagDCG); its trace indices are valid set-global indices because the
-// first session's traces occupy the head of every merged per-function
-// trace list.
-type Writer struct {
-	dir      string
-	opts     WriteOptions
-	entries  []Entry
-	names    []string
-	ordinal  int
-	session  uint64
-	haveDCG  bool
-	finished bool
-}
-
-// NewWriter creates dir (which must not already contain a manifest)
-// and returns a Writer sealing into it.
-func NewWriter(dir string, opts WriteOptions) (*Writer, error) {
+// Write seals t into dir as a new segmented container: it creates dir,
+// refuses one that already holds a manifest, and commits t as session
+// 1 of generation 1. Like Append, a failed Write removes the segment
+// files it wrote and installs no manifest.
+func Write(dir string, t *core.TWPP, opts WriteOptions) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
 		return nil, fmt.Errorf("segment: %s already contains a manifest", dir)
 	}
-	return &Writer{dir: dir, opts: opts}, nil
-}
-
-// Add seals t into one or more v2 segment files. The first Add's call
-// graph becomes the container's DCG.
-func (w *Writer) Add(t *core.TWPP) error {
-	return w.AddContext(context.Background(), t)
-}
-
-// AddContext is Add with cooperative cancellation between segment
-// seals.
-func (w *Writer) AddContext(ctx context.Context, t *core.TWPP) error {
-	if w.finished {
-		return fmt.Errorf("segment: writer already finished")
-	}
-	if len(w.names) == 0 {
-		w.names = t.FuncNames
-	}
-	// One session per Add: all of this TWPP's segments share it, so a
-	// function split across them merges by disjoint concatenation.
-	w.session++
-	plans := planSegments(t, w.opts.resolveBudget(t))
-	for i, plan := range plans {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		carryDCG := !w.haveDCG && i == 0 && t.Root != nil
-		seg := buildSegmentTWPP(t, plan, carryDCG)
-		entry, err := w.seal(seg, carryDCG)
-		if err != nil {
-			return err
-		}
-		w.entries = append(w.entries, entry)
-		if carryDCG {
-			w.haveDCG = true
-		}
-	}
-	return nil
-}
-
-// Finish writes the manifest, committing the container at
-// generation 1.
-func (w *Writer) Finish() (*Manifest, error) {
-	if w.finished {
-		return nil, fmt.Errorf("segment: writer already finished")
-	}
-	if len(w.entries) == 0 {
-		return nil, fmt.Errorf("segment: nothing sealed")
-	}
-	w.finished = true
-	m := &Manifest{Generation: 1, Segments: w.entries}
-	if err := WriteManifest(w.dir, m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// seal encodes one segment TWPP to its canonical file name and returns
-// its manifest entry.
-func (w *Writer) seal(t *core.TWPP, carryDCG bool) (Entry, error) {
-	e, err := sealSegment(w.dir, t, 1, w.ordinal, w.opts.Workers, w.session, carryDCG)
-	if err != nil {
-		return Entry{}, err
-	}
-	w.ordinal++
-	return e, nil
-}
-
-// Write seals t into dir as a new segmented container: NewWriter +
-// Add + Finish.
-func Write(dir string, t *core.TWPP, opts WriteOptions) (*Manifest, error) {
-	w, err := NewWriter(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Add(t); err != nil {
-		return nil, err
-	}
-	return w.Finish()
+	return commit(dir, t, opts, &Manifest{})
 }
 
 // resolveBudget turns the sizing knobs into a concrete per-segment

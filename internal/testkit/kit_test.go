@@ -41,7 +41,7 @@ func TestOraclesPassOnPristineInput(t *testing.T) {
 			if err := RoundTrip(w); err != nil {
 				t.Errorf("RoundTrip: %v", err)
 			}
-			if err := BatchStreamParity(w); err != nil {
+			if err := BatchStreamParity(w, 0); err != nil {
 				t.Errorf("BatchStreamParity: %v", err)
 			}
 			if err := ExtractVsRawScan(w); err != nil {

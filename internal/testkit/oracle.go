@@ -104,12 +104,13 @@ func RoundTripVariant(w *trace.RawWPP, format int, kind storage.Kind) error {
 	return nil
 }
 
-// BatchStreamParity checks that the batch encoder (compact in memory,
-// emit the image) and the streaming pipeline (replay raw events into
-// the online compactor, emit through the writer-based encoder) produce
-// byte-identical compacted files.
-func BatchStreamParity(w *trace.RawWPP) error {
-	_, batch, err := EncodeBoth(w)
+// BatchStreamParity checks that the batch pipeline (compact in memory)
+// and the streaming pipeline (replay raw events into the online
+// compactor) produce byte-identical compacted files in the given
+// container format (0 selects v2).
+func BatchStreamParity(w *trace.RawWPP, format int) error {
+	c, _ := wpp.Compact(w)
+	batch, err := wppfile.EncodeCompactedFormat(core.FromCompacted(c), 1, format)
 	if err != nil {
 		return fmt.Errorf("batch encode: %w", err)
 	}
@@ -127,12 +128,12 @@ func BatchStreamParity(w *trace.RawWPP) error {
 	if err != nil {
 		return fmt.Errorf("stream finish: %w", err)
 	}
-	var buf bytes.Buffer
-	if _, err := wppfile.EncodeCompactedTo(&buf, t, 1); err != nil {
+	stream, err := wppfile.EncodeCompactedFormat(t, 1, format)
+	if err != nil {
 		return fmt.Errorf("stream encode: %w", err)
 	}
-	if !bytes.Equal(batch, buf.Bytes()) {
-		return fmt.Errorf("batch and stream images differ: %d vs %d bytes", len(batch), buf.Len())
+	if !bytes.Equal(batch, stream) {
+		return fmt.Errorf("batch and stream images differ: %d vs %d bytes", len(batch), len(stream))
 	}
 	return nil
 }

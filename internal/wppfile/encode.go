@@ -1,17 +1,15 @@
-// Compacted-format writers: the batch encoders that assemble a file
-// image in memory and the writer-based streaming encoder that never
-// materializes the file. Both emit byte-identical output for a given
-// (TWPP, format) at any worker count; both write format v2 unless
-// FormatV1 is forced.
+// Compacted-format writer: one encoder assembles the file image in
+// memory, byte-identical at any worker count. Every container write —
+// single files, the streaming pipeline, and segment seals — goes
+// through it. It writes format v2; its FormatV1 branch is kept only to
+// generate legacy inputs for the v1 reader's tests.
 
 package wppfile
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -33,11 +31,11 @@ type indexEntry struct {
 	CRC uint32
 }
 
-// checkFormat resolves a requested format: 0 selects DefaultFormat.
+// checkFormat resolves a requested format: 0 selects FormatV2.
 func checkFormat(format int) (int, error) {
 	switch format {
 	case 0:
-		return DefaultFormat, nil
+		return FormatV2, nil
 	case FormatV1, FormatV2:
 		return format, nil
 	default:
@@ -47,18 +45,13 @@ func checkFormat(format int) (int, error) {
 
 // WriteCompacted serializes a TWPP in the compacted indexed format.
 func WriteCompacted(path string, t *core.TWPP) error {
-	return WriteCompactedWorkers(path, t, 1)
+	return WriteCompactedFormat(path, t, 1, FormatV2)
 }
 
-// WriteCompactedWorkers is WriteCompacted with per-function block
+// WriteCompactedFormat is WriteCompacted with per-function block
 // encoding fanned out over workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)).
-func WriteCompactedWorkers(path string, t *core.TWPP, workers int) error {
-	return WriteCompactedFormat(path, t, workers, DefaultFormat)
-}
-
-// WriteCompactedFormat is WriteCompactedWorkers writing the given
-// container format (FormatV1, FormatV2, or 0 for the default).
+// runtime.GOMAXPROCS(0)), writing the given container format
+// (FormatV2, or 0 for it; FormatV1 only for tests of the v1 reader).
 func WriteCompactedFormat(path string, t *core.TWPP, workers, format int) error {
 	data, err := EncodeCompactedFormat(t, workers, format)
 	if err != nil {
@@ -82,11 +75,12 @@ var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // byte-identical to the sequential (workers == 1) path for any worker
 // count.
 func EncodeCompactedWorkers(t *core.TWPP, workers int) ([]byte, error) {
-	return EncodeCompactedFormat(t, workers, DefaultFormat)
+	return EncodeCompactedFormat(t, workers, FormatV2)
 }
 
 // EncodeCompactedFormat is EncodeCompactedWorkers emitting the given
-// container format (FormatV1, FormatV2, or 0 for the default).
+// container format: FormatV2 (or 0 for it), or FormatV1, which only
+// tests of the v1 reader write.
 func EncodeCompactedFormat(t *core.TWPP, workers, format int) ([]byte, error) {
 	format, err := checkFormat(format)
 	if err != nil {
@@ -101,7 +95,7 @@ func EncodeCompactedFormat(t *core.TWPP, workers, format int) ([]byte, error) {
 	// concurrently when workers allow. Blocks only ever append to
 	// their buffer, so the per-function bytes are independent of
 	// scheduling. RunJobs fails only on a canceled context, and
-	// Background never is (here and in EncodeCompactedToFormat).
+	// Background never is.
 	parts := make([]*[]byte, len(order))
 	_ = wpp.RunJobs(context.Background(), len(order), workers, func(i int) {
 		bp := encodeBufPool.Get().(*[]byte)
@@ -302,138 +296,6 @@ func encodeDCG(root *wpp.CallNode) []byte {
 		rec(root)
 	}
 	return buf
-}
-
-// ---------------------------------------------------------------------
-// Writer-based (streaming) compacted encode.
-// ---------------------------------------------------------------------
-
-// EncodeCompactedTo writes the compacted format to w without
-// materializing the file image: per-function blocks are encoded twice
-// (once to size and checksum the index, once to emit) into pooled
-// buffers bounded by the worker count, so peak memory is O(header +
-// workers * largest block) rather than O(file). The bytes written are
-// identical to EncodeCompactedWorkers at any worker count (workers <=
-// 0 selects runtime.GOMAXPROCS(0)). It returns the total byte count
-// written.
-//
-// The double encode is forced by the format: the index, which precedes
-// the blocks, stores each block's offset, length, and (v2) CRC.
-func EncodeCompactedTo(w io.Writer, t *core.TWPP, workers int) (int64, error) {
-	return EncodeCompactedToFormat(w, t, workers, DefaultFormat)
-}
-
-// EncodeCompactedToFormat is EncodeCompactedTo emitting the given
-// container format (FormatV1, FormatV2, or 0 for the default).
-func EncodeCompactedToFormat(w io.Writer, t *core.TWPP, workers, format int) (int64, error) {
-	format, err := checkFormat(format)
-	if err != nil {
-		return 0, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	order := hotOrder(t)
-
-	// Pass 1: block lengths and checksums, fanned out over the pool.
-	lengths := make([]int, len(order))
-	crcs := make([]uint32, len(order))
-	_ = wpp.RunJobs(context.Background(), len(order), workers, func(i int) {
-		bp := encodeBufPool.Get().(*[]byte)
-		*bp = encodeFunctionBlock((*bp)[:0], &t.Funcs[order[i]])
-		lengths[i] = len(*bp)
-		if format == FormatV2 {
-			crcs[i] = Checksum(*bp)
-		}
-		encodeBufPool.Put(bp)
-	})
-	index := make([]indexEntry, len(order))
-	off := 0
-	for i, f := range order {
-		index[i] = indexEntry{Fn: f, CallCount: t.Funcs[f].CallCount,
-			Offset: off, Length: lengths[i], CRC: crcs[i]}
-		off += lengths[i]
-	}
-
-	dcg := lzw.Compress(encodeDCG(t.Root))
-
-	// Everything before the blocks section is small; assemble and
-	// write it in one shot. For v2 the section geometry is recorded
-	// now and emitted as the trailer directory after the blocks.
-	var head []byte
-	var meta, dcgSec, blocksSec section
-	if format == FormatV1 {
-		head = appendCompactedHeader(nil, t, index, len(dcg))
-		head = append(head, dcg...)
-	} else {
-		head = appendV2Prefix(nil)
-		metaOff := len(head)
-		head = appendMetaV2(head, t, index)
-		meta = section{ID: SecMeta, Codec: CodecRaw, Offset: int64(metaOff),
-			Length: int64(len(head) - metaOff), CRC: Checksum(head[metaOff:])}
-		dcgSec = section{ID: SecDCG, Codec: CodecLZW, Offset: int64(len(head)),
-			Length: int64(len(dcg)), CRC: Checksum(dcg)}
-		head = append(head, dcg...)
-		blocksSec = section{ID: SecBlocks, Codec: CodecRaw,
-			Offset: int64(len(head)), Length: int64(off)}
-	}
-	var written int64
-	n, err := w.Write(head)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-
-	// Pass 2: re-encode and emit blocks in index order, a
-	// workers-sized batch at a time — encode concurrently, write
-	// sequentially. The v2 BLOCKS section checksum accumulates over
-	// the bytes as they go out.
-	var blocksCRC uint32
-	parts := make([]*[]byte, len(order))
-	for start := 0; start < len(order); start += workers {
-		end := start + workers
-		if end > len(order) {
-			end = len(order)
-		}
-		_ = wpp.RunJobs(context.Background(), end-start, workers, func(j int) {
-			i := start + j
-			bp := encodeBufPool.Get().(*[]byte)
-			*bp = encodeFunctionBlock((*bp)[:0], &t.Funcs[order[i]])
-			parts[i] = bp
-		})
-		for i := start; i < end; i++ {
-			bp := parts[i]
-			parts[i] = nil
-			if len(*bp) != lengths[i] {
-				encodeBufPool.Put(bp)
-				return written, fmt.Errorf("wppfile: function %d block re-encoded to %d bytes, index says %d",
-					order[i], len(*bp), lengths[i])
-			}
-			if format == FormatV2 {
-				if got := Checksum(*bp); got != crcs[i] {
-					encodeBufPool.Put(bp)
-					return written, fmt.Errorf("wppfile: function %d block re-encoded with checksum %08x, index says %08x",
-						order[i], got, crcs[i])
-				}
-				blocksCRC = checksumUpdate(blocksCRC, *bp)
-			}
-			n, err := w.Write(*bp)
-			written += int64(n)
-			encodeBufPool.Put(bp)
-			if err != nil {
-				return written, err
-			}
-		}
-	}
-	if format == FormatV1 {
-		return written, nil
-	}
-
-	blocksSec.CRC = blocksCRC
-	tail := appendDirectory(nil, []section{meta, dcgSec, blocksSec})
-	n, err = w.Write(tail)
-	written += int64(n)
-	return written, err
 }
 
 // hotOrder returns the called functions hottest-first (call count

@@ -53,13 +53,12 @@ const (
 	Version = 1
 
 	// FormatV1 is the legacy compacted layout: implicit sections, no
-	// checksums. Readable forever, no longer written by default.
+	// checksums. Readable forever; only tests of the v1 reader write
+	// it.
 	FormatV1 = 1
 	// FormatV2 is the sectioned container with the trailer directory
-	// and CRC32-C checksums.
+	// and CRC32-C checksums: the format every writer emits.
 	FormatV2 = 2
-	// DefaultFormat is what writers emit when no format is forced.
-	DefaultFormat = FormatV2
 )
 
 // Section ids. Unknown ids are skipped by readers, so the id space can

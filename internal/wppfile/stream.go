@@ -1,9 +1,9 @@
 // The bounded-memory raw-file reader: replays an uncompacted WPP file
 // as trace events through a bounded buffer, never slurping the file.
 // Together with wpp.StreamCompactor, core.StreamCompactor, and the
-// writer-based encoder in encode.go these close the bounded-memory
-// ingestion pipeline: raw file -> events -> online compaction ->
-// compacted file.
+// encoder in encode.go these close the streaming ingestion pipeline:
+// raw file -> events -> online compaction -> compacted file. Only the
+// input is bounded; the compacted file image is assembled in memory.
 
 package wppfile
 

@@ -10,30 +10,6 @@ import (
 	"twpp/internal/trace"
 )
 
-// TestEncodeCompactedToMatchesBatch pins the streaming encoder's bytes
-// to EncodeCompactedWorkers at several worker counts.
-func TestEncodeCompactedToMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	_, tw := buildTWPP(t, rng, 60)
-	want, err := EncodeCompacted(tw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		var buf bytes.Buffer
-		n, err := EncodeCompactedTo(&buf, tw, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if n != int64(buf.Len()) {
-			t.Errorf("workers=%d: reported %d bytes, wrote %d", workers, n, buf.Len())
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("workers=%d: streamed encode differs from batch", workers)
-		}
-	}
-}
-
 // TestRawStreamReaderReplay checks the incremental reader reproduces
 // the WPP via a Builder sink, from both a sized and an unsized stream.
 func TestRawStreamReaderReplay(t *testing.T) {
@@ -59,8 +35,8 @@ func TestRawStreamReaderReplay(t *testing.T) {
 }
 
 // TestStreamPipelineEndToEnd drives raw bytes through the full
-// streaming path (reader -> online compactor -> streaming encoder) and
-// checks the result is byte-identical to the batch pipeline.
+// streaming path (reader -> online compactor -> encoder) and checks the
+// result is byte-identical to the batch pipeline.
 func TestStreamPipelineEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	w, tw := buildTWPP(t, rng, 60)
@@ -82,11 +58,11 @@ func TestStreamPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := EncodeCompactedTo(&buf, got, 4); err != nil {
+	img, err := EncodeCompactedWorkers(got, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(img, want) {
 		t.Error("streaming pipeline output differs from batch pipeline")
 	}
 }

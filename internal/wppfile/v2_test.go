@@ -133,8 +133,8 @@ func TestV2LazyChecksumOnExtraction(t *testing.T) {
 // The versioned reader must keep opening them: correct version report,
 // every function extractable over every backend, full semantic
 // round-trip against the sibling raw capture, and — the strongest
-// compatibility statement — re-encoding that raw capture with
-// -format=1 must reproduce the fixture byte for byte.
+// compatibility statement — re-encoding that raw capture through the
+// encoder's FormatV1 branch must reproduce the fixture byte for byte.
 func TestV1FixturesCompat(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "v1", "*.twpp"))
 	if err != nil {
@@ -196,25 +196,15 @@ func TestV1FixturesCompat(t *testing.T) {
 	}
 }
 
-// Batch and streaming writers must agree byte for byte in both
+// The batch and streaming pipelines must agree byte for byte in both
 // formats, not just the default.
 func TestBatchStreamParityBothFormats(t *testing.T) {
 	for _, format := range []int{wppfile.FormatV1, wppfile.FormatV2} {
 		for _, shape := range testkit.Shapes() {
 			t.Run(fmt.Sprintf("v%d/%s", format, shape), func(t *testing.T) {
 				w := testkit.Generate(testkit.Config{Seed: 500 + int64(shape), Shape: shape})
-				c, _ := wpp.Compact(w)
-				tw := core.FromCompacted(c)
-				batch, err := wppfile.EncodeCompactedFormat(tw, 1, format)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if _, err := wppfile.EncodeCompactedToFormat(&buf, tw, 1, format); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(batch, buf.Bytes()) {
-					t.Errorf("batch (%d bytes) and stream (%d bytes) images differ", len(batch), buf.Len())
+				if err := testkit.BatchStreamParity(w, format); err != nil {
+					t.Error(err)
 				}
 			})
 		}

@@ -1,7 +1,6 @@
 package twpp
 
 import (
-	"bufio"
 	"context"
 	"io"
 	"os"
@@ -29,9 +28,10 @@ type StreamResult struct {
 // consumed through a bounded buffer, each call's path trace is deduped
 // by hash the moment the call returns, new unique traces are
 // DBB-compacted in background batches, and the timestamp inversion
-// runs once per unique trace when the stream ends. Peak memory is
+// runs once per unique trace when the stream ends. The file image is
+// then encoded in memory and written with one Write. Peak memory is
 // O(unique traces + open call stack + dynamic call graph), not
-// O(trace length).
+// O(trace length); the image is a small share of it.
 //
 // The bytes written are identical to ReadRawFile + CompactOpts +
 // WriteFileOpts on the same input, at any opts.Workers value, and
@@ -45,24 +45,20 @@ func StreamCompact(r io.Reader, w io.Writer, opts CompactOptions) (*StreamResult
 // per-function assembly steps, so canceling abandons the ingestion
 // promptly with ctx.Err().
 func StreamCompactContext(ctx context.Context, r io.Reader, w io.Writer, opts CompactOptions) (*StreamResult, error) {
-	rr, err := wppfile.NewRawStreamReader(r, streamSize(r))
+	tw, res, err := streamTWPP(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	s := core.NewStreamCompactor(rr.Names())
-	if err := rr.ReplayCtx(ctx, s); err != nil {
-		return nil, err
-	}
-	tw, stats, err := s.FinishCtx(ctx)
+	data, err := wppfile.EncodeCompactedFormat(tw, opts.Workers, FormatV2)
 	if err != nil {
 		return nil, err
 	}
-	traceB, dictB := tw.SizeStats()
-	n, err := wppfile.EncodeCompactedToFormat(w, tw, opts.Workers, opts.Format)
+	n, err := w.Write(data)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamResult{Stats: stats, TraceBytes: traceB, DictBytes: dictB, BytesWritten: n}, nil
+	res.BytesWritten = int64(n)
+	return res, nil
 }
 
 // StreamCompactSegmentedFileContext runs the streaming pipeline but
@@ -76,19 +72,10 @@ func StreamCompactSegmentedFileContext(ctx context.Context, inPath, dir string, 
 		return nil, err
 	}
 	defer in.Close()
-	rr, err := wppfile.NewRawStreamReader(in, streamSize(in))
+	tw, res, err := streamTWPP(ctx, in)
 	if err != nil {
 		return nil, err
 	}
-	s := core.NewStreamCompactor(rr.Names())
-	if err := rr.ReplayCtx(ctx, s); err != nil {
-		return nil, err
-	}
-	tw, stats, err := s.FinishCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	traceB, dictB := tw.SizeStats()
 	if segOpts.Workers == 0 {
 		segOpts.Workers = opts.Workers
 	}
@@ -96,15 +83,34 @@ func StreamCompactSegmentedFileContext(ctx context.Context, inPath, dir string, 
 	if err != nil {
 		return nil, err
 	}
-	res := &StreamResult{Stats: stats, TraceBytes: traceB, DictBytes: dictB}
 	for _, e := range man.Segments {
 		res.BytesWritten += e.Size
 	}
 	return res, nil
 }
 
-// StreamCompactFile is StreamCompact over named files, buffering the
-// output writes.
+// streamTWPP replays the raw WPP stream r through the streaming
+// compactor and returns the compacted TWPP with a result carrying its
+// stats and section sizes; the caller encodes it and fills in
+// BytesWritten.
+func streamTWPP(ctx context.Context, r io.Reader) (*TWPP, *StreamResult, error) {
+	rr, err := wppfile.NewRawStreamReader(r, streamSize(r))
+	if err != nil {
+		return nil, nil, err
+	}
+	s := core.NewStreamCompactor(rr.Names())
+	if err := rr.ReplayCtx(ctx, s); err != nil {
+		return nil, nil, err
+	}
+	tw, stats, err := s.FinishCtx(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	traceB, dictB := tw.SizeStats()
+	return tw, &StreamResult{Stats: stats, TraceBytes: traceB, DictBytes: dictB}, nil
+}
+
+// StreamCompactFile is StreamCompact over named files.
 func StreamCompactFile(inPath, outPath string, opts CompactOptions) (*StreamResult, error) {
 	return StreamCompactFileContext(context.Background(), inPath, outPath, opts)
 }
@@ -122,14 +128,8 @@ func StreamCompactFileContext(ctx context.Context, inPath, outPath string, opts 
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(out, 1<<16)
-	res, err := StreamCompactContext(ctx, in, bw, opts)
+	res, err := StreamCompactContext(ctx, in, out, opts)
 	if err != nil {
-		out.Close()
-		os.Remove(outPath)
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
 		out.Close()
 		os.Remove(outPath)
 		return nil, err

@@ -185,12 +185,6 @@ type CompactOptions struct {
 	// runtime.GOMAXPROCS; 1 runs sequentially. Output is byte-for-byte
 	// independent of the worker count.
 	Workers int
-
-	// Format selects the on-disk container format for WriteFileOpts
-	// and StreamCompact: FormatV2 (sectioned, checksummed; the
-	// default when 0) or FormatV1 (the legacy layout, for consumers
-	// that have not learned v2 yet). In-memory compaction ignores it.
-	Format int
 }
 
 // CompactOpts is Compact with explicit options. The produced TWPP is
@@ -236,11 +230,10 @@ func WriteFile(path string, t *TWPP) error {
 }
 
 // WriteFileOpts is WriteFile with per-function block encoding fanned
-// out over opts.Workers goroutines into pooled buffers, writing the
-// container format selected by opts.Format. The on-disk bytes are
-// identical for every worker count.
+// out over opts.Workers goroutines into pooled buffers. The on-disk
+// bytes are identical for every worker count.
 func WriteFileOpts(path string, t *TWPP, opts CompactOptions) error {
-	return wppfile.WriteCompactedFormat(path, t, opts.Workers, opts.Format)
+	return wppfile.WriteCompactedFormat(path, t, opts.Workers, FormatV2)
 }
 
 // OpenFile opens a compacted TWPP file with the decode cache disabled,
@@ -275,17 +268,15 @@ const (
 	BackendMemory = storage.KindMemory
 )
 
-// Container formats for CompactOptions.Format
-// (File.FormatVersion reports which one an opened file uses).
+// Container formats, as File.FormatVersion reports them.
 const (
 	// FormatV1 is the legacy compacted layout: implicit sections, no
-	// checksums. Still readable; no longer written by default.
+	// checksums. Still readable; no longer written.
 	FormatV1 = wppfile.FormatV1
 	// FormatV2 is the sectioned container with a trailer section
-	// directory and CRC32-C checksums on every section (the default).
+	// directory and CRC32-C checksums on every section: what every
+	// writer emits.
 	FormatV2 = wppfile.FormatV2
-	// DefaultFormat is what a zero CompactOptions.Format writes.
-	DefaultFormat = wppfile.DefaultFormat
 )
 
 // Instrument carries optional decode-path callbacks (cache hits, block
