@@ -15,10 +15,12 @@ test:
 # Race-detector pass over the packages with concurrency: the parallel
 # compaction pipeline (root), its stages (wpp, core) including the
 # streaming compactor's background DBB batches, the concurrent indexed
-# extraction + decode cache (wppfile), and the segmented container's
-# background-merge swap protocol (segment).
+# extraction + decode cache and the parallel ReadAll (wppfile), the
+# segmented container's background-merge swap protocol (segment), and
+# the format × backend × shape matrix, the broadest ReadAll caller
+# (testkit).
 race:
-	$(GO) test -race ./internal/wppfile/ ./internal/wpp/ ./internal/core/ ./internal/segment/ .
+	$(GO) test -race ./internal/wppfile/ ./internal/wpp/ ./internal/core/ ./internal/segment/ ./internal/testkit/ .
 
 vet:
 	$(GO) vet ./...
@@ -64,10 +66,13 @@ cover:
 # Quick benchmark sweep of the parallel pipeline and concurrent
 # extraction (full tables: `go run ./cmd/twpp-bench`), plus the two
 # compaction kernels — DBB discovery and timestamp inversion — over
-# one profile's unique traces, with allocations.
+# one profile's unique traces, with allocations, and the read path's
+# layers — DCG decode, owned block decode, whole-container ReadAll —
+# on one profile, with allocations.
 bench:
 	$(GO) test -run xxx -bench 'ParallelCompact|ConcurrentExtract|Table' -benchtime 1x .
 	$(GO) test -run xxx -bench 'CompactTrace|FromPath' -benchtime 100x ./internal/wpp/ ./internal/core/
+	$(GO) test -run xxx -bench 'ReadAll' -benchmem -benchtime 50x ./internal/wppfile/
 
 # Peak-heap comparison of the batch and streaming compaction pipelines
 # (one iteration each; fast enough for local runs and CI). Fails unless
@@ -138,16 +143,17 @@ passes-test:
 # Run the fuzz targets on their seed corpora only (no fuzzing time;
 # the seeded cases run as ordinary tests): the compaction determinism
 # targets at the root, the event demux's block runs against
-# symbol-at-a-time feeding, the two compaction kernels against their
-# reference oracles, the hostile-input decode targets in wppfile and
-# encoding, the segmented-container manifest decoder, the ingest wire
-# frame, the diff engine, and the analysis-pass dispatcher.
+# symbol-at-a-time feeding, the two compaction kernels and the slab DCG
+# decoder against their reference oracles, the hostile-input decode
+# targets in wppfile and encoding, the segmented-container manifest
+# decoder, the ingest wire frame, the diff engine, and the
+# analysis-pass dispatcher.
 fuzz-seed:
 	$(GO) test -run 'FuzzParallelCompactDeterminism|FuzzStreamCompactDeterminism' .
 	$(GO) test -run 'FuzzDemuxRuns' ./internal/trace/
 	$(GO) test -run 'FuzzCompactTrace' ./internal/wpp/
 	$(GO) test -run 'FuzzFromPath' ./internal/core/
-	$(GO) test -run 'FuzzDecodeCompacted|FuzzStreamRoundTrip' ./internal/wppfile/
+	$(GO) test -run 'FuzzDecodeCompacted|FuzzStreamRoundTrip|FuzzDecodeDCG' ./internal/wppfile/
 	$(GO) test -run 'FuzzUvarintBatchParity' ./internal/encoding/
 	$(GO) test -run 'FuzzManifestDecode' ./internal/segment/
 	$(GO) test -run 'FuzzIngestFrame' ./internal/ingest/

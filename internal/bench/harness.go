@@ -250,15 +250,6 @@ type SequiturComparison struct {
 	Functions    int
 }
 
-// SizeRatio is TWPP size / Sequitur size (the paper reports Sequitur
-// smaller by an average factor 3.92).
-func (s *SequiturComparison) SizeRatio() float64 {
-	if s.SequiturBytes == 0 {
-		return 0
-	}
-	return float64(s.TWPPBytes) / float64(s.SequiturBytes)
-}
-
 // AccessRatio is Sequitur extraction time / TWPP extraction time (the
 // paper reports 89-553x).
 func (s *SequiturComparison) AccessRatio() float64 {

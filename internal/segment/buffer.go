@@ -180,7 +180,8 @@ func twppTracesEqual(a, b *core.Trace) bool {
 // hashDictUnordered hashes a dictionary without sorting its heads:
 // per-chain hashes combine commutatively (sum), so map iteration order
 // does not matter and the hot read path stays allocation-free (unlike
-// wpp.HashDict, which sorts heads into a fresh slice).
+// wpp's canonical dictionary hash, which sorts heads into a fresh
+// slice).
 func hashDictUnordered(d wpp.Dictionary) uint64 {
 	var sum uint64
 	for head, chain := range d {

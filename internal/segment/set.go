@@ -494,66 +494,38 @@ func (s *Set) ReadDCG() (*wpp.CallNode, error) {
 }
 
 // ReadAll reconstructs the complete TWPP from the merged view,
-// validating every DCG reference against the merged trace lists.
+// validating every DCG reference against the merged trace lists. The
+// DCG and every function (its windows extracted and merged) decode in
+// parallel through wppfile.Assemble.
 func (s *Set) ReadAll() (*core.TWPP, error) {
 	v, err := s.acquire()
 	if err != nil {
 		return nil, err
 	}
 	defer v.release()
-
-	var root *wpp.CallNode
-	if v.dcgSeg >= 0 {
-		if root, err = v.segs[v.dcgSeg].ReadDCG(); err != nil {
-			return nil, err
+	readDCG := func() (*wpp.CallNode, error) {
+		if v.dcgSeg < 0 {
+			return nil, nil
 		}
+		return v.segs[v.dcgSeg].ReadDCG()
 	}
-	maxFn := len(v.names)
-	for _, fn := range v.order {
-		if int(fn) >= maxFn {
-			maxFn = int(fn) + 1
-		}
-	}
-	t := &core.TWPP{
-		FuncNames: v.names,
-		Root:      root,
-		Funcs:     make([]core.FunctionTWPP, maxFn),
-	}
-	for f := range t.Funcs {
-		t.Funcs[f].Fn = cfg.FuncID(f)
-	}
-	for _, fn := range v.order {
+	extract := func(fn cfg.FuncID) (*core.FunctionTWPP, error) {
 		info := v.index[fn]
 		parts := make([]*core.FunctionTWPP, len(info.owners))
 		for i, si := range info.owners {
-			if parts[i], err = v.segs[si].ExtractFunction(fn); err != nil {
+			p, err := v.segs[si].ExtractFunction(fn)
+			if err != nil {
 				return nil, err
 			}
+			parts[i] = p
 		}
 		if len(parts) == 1 {
-			t.Funcs[fn] = *parts[0]
-		} else {
-			t.Funcs[fn] = *mergeParts(fn, parts, info.disjoint, nil)
+			return parts[0], nil
 		}
+		return mergeParts(fn, parts, info.disjoint, nil), nil
 	}
-	var walk func(n *wpp.CallNode) error
-	walk = func(n *wpp.CallNode) error {
-		if n == nil {
-			return nil
-		}
-		if int(n.Fn) >= len(t.Funcs) || n.TraceIdx < 0 || n.TraceIdx >= len(t.Funcs[n.Fn].Traces) {
-			return encoding.Errf(encoding.CodeCorrupt, 0,
-				"segment: DCG node references function %d trace %d, not in container", n.Fn, n.TraceIdx)
-		}
-		for _, ch := range n.Children {
-			if err := walk(ch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(root); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return wppfile.Assemble(v.names, v.order, readDCG, extract, func(fn cfg.FuncID, traceIdx int) error {
+		return encoding.Errf(encoding.CodeCorrupt, 0,
+			"segment: DCG node references function %d trace %d, not in container", fn, traceIdx)
+	})
 }

@@ -2,36 +2,9 @@ package sequitur
 
 import (
 	"fmt"
-	"sort"
 
 	"twpp/internal/encoding"
 )
-
-// Rule is the exported form of one production: the rule's id and its
-// body. Body values < RuleBase are terminals; values >= RuleBase
-// reference rule (value - RuleBase).
-type Rule struct {
-	ID   uint32
-	Body []uint32
-}
-
-// Rules returns the live productions, start rule first, then by id.
-// Freed (inlined) rule ids are omitted.
-func (g *Grammar) Rules() []Rule {
-	out := make([]Rule, 0, g.NumRules())
-	for id, r := range g.rules {
-		if r == nil {
-			continue
-		}
-		var body []uint32
-		for s := r.first(); !s.guard; s = s.next {
-			body = append(body, symValue(s))
-		}
-		out = append(out, Rule{ID: uint32(id), Body: body})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // Size reports the total number of symbols on the right-hand sides of
 // all live rules — the standard measure of grammar size.

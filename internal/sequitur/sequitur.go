@@ -47,7 +47,7 @@ func (r *rule) first() *symbol { return r.guard.next }
 func (r *rule) last() *symbol  { return r.guard.prev }
 
 // Grammar incrementally builds a Sequitur grammar. Create one with New,
-// feed terminals with Append, and read the result with Rules, Expand, or
+// feed terminals with Append, and read the result with Expand or
 // Encode.
 type Grammar struct {
 	rules   []*rule

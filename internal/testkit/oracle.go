@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 
 	"twpp/internal/cfg"
 	"twpp/internal/core"
@@ -53,7 +54,8 @@ func RoundTrip(w *trace.RawWPP) error {
 // RoundTripVariant is RoundTrip over a chosen container format (0 =
 // writer default) and storage backend, with eager checksum
 // verification on — the matrix cell every format/backend combination
-// must pass identically.
+// must pass identically. The parallel ReadAll must also equal its
+// sequential reference (CheckReadAllParity).
 func RoundTripVariant(w *trace.RawWPP, format int, kind storage.Kind) error {
 	dir, err := os.MkdirTemp("", "testkit-*")
 	if err != nil {
@@ -93,6 +95,9 @@ func RoundTripVariant(w *trace.RawWPP, format int, kind storage.Kind) error {
 	t2, err := cf.ReadAll()
 	if err != nil {
 		return fmt.Errorf("read compacted: %w", err)
+	}
+	if err := CheckReadAllParity(cf); err != nil {
+		return err
 	}
 	c2, err := t2.ToCompacted()
 	if err != nil {
@@ -208,7 +213,7 @@ func ExtractVsRawScanVariant(w *trace.RawWPP, format int, kind storage.Kind) err
 
 // ExtractIntoParityVariant checks that the pooled extraction path
 // (ExtractFunctionInto with one shared buffer) returns results
-// identical to the allocating path for every function of w, at the
+// identical to the owned path for every function of w, at the
 // given container format (0 = writer default) and storage backend. It
 // also pins the ContentHash availability rule: v2 containers have one,
 // v1 containers do not.
@@ -306,12 +311,13 @@ func pathEqual(a, b wpp.PathTrace) bool {
 }
 
 // CheckCompactedDecode drives every compacted decode surface (open,
-// DCG, per-function extraction — allocating and pooled, whose results
-// and errors must agree exactly — and full read) over one image,
-// recovering panics. It returns nil when the decoder either succeeds
-// or fails with a structured error, and a descriptive error on a
-// panic, an unstructured failure, or an extract/extract-into parity
-// break — outcomes hostile input must never produce.
+// DCG, per-function extraction — owned and pooled, whose results and
+// errors must agree exactly — and the parallel full read, which must
+// match its sequential reference, see CheckReadAllParity) over one
+// image, recovering panics. It returns nil when the decoder either
+// succeeds or fails with a structured error, and a descriptive error
+// on a panic, an unstructured failure, or a parity break — outcomes
+// hostile input must never produce.
 func CheckCompactedDecode(dir string, data []byte, opts wppfile.OpenOptions) (vErr error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -352,10 +358,104 @@ func CheckCompactedDecode(dir string, data []byte, opts wppfile.OpenOptions) (vE
 			return fmt.Errorf("f%d: extract/extract-into result divergence: %w", fn, perr)
 		}
 	}
-	if _, err := cf.ReadAll(); err != nil {
-		return requireStructured("ReadAll", err)
+	// The reference's errors were checked structured above, and
+	// parity makes ReadAll's equal to them.
+	return CheckReadAllParity(cf)
+}
+
+// readAllSequential is the sequential reference for ReadAll: ReadDCG,
+// then ExtractFunction for each function in Functions() order,
+// stopping at the first error. It does not validate DCG references.
+func readAllSequential(cf *wppfile.CompactedFile) (*core.TWPP, error) {
+	root, err := cf.ReadDCG()
+	if err != nil {
+		return nil, err
+	}
+	fns := cf.Functions()
+	maxFn := len(cf.Names())
+	for _, fn := range fns {
+		if int(fn) >= maxFn {
+			maxFn = int(fn) + 1
+		}
+	}
+	t := &core.TWPP{FuncNames: cf.Names(), Root: root, Funcs: make([]core.FunctionTWPP, maxFn)}
+	for f := range t.Funcs {
+		t.Funcs[f].Fn = cfg.FuncID(f)
+	}
+	for _, fn := range fns {
+		ft, err := cf.ExtractFunction(fn)
+		if err != nil {
+			return nil, err
+		}
+		t.Funcs[fn] = *ft
+	}
+	return t, nil
+}
+
+// danglingRef reports whether some DCG node of t references a
+// function or trace t does not hold.
+func danglingRef(t *core.TWPP) bool {
+	var rec func(n *wpp.CallNode) bool
+	rec = func(n *wpp.CallNode) bool {
+		if n == nil {
+			return false
+		}
+		if int(n.Fn) >= len(t.Funcs) || n.TraceIdx < 0 || n.TraceIdx >= len(t.Funcs[n.Fn].Traces) {
+			return true
+		}
+		for _, ch := range n.Children {
+			if rec(ch) {
+				return true
+			}
+		}
+		return false
+	}
+	return rec(t.Root)
+}
+
+// CheckReadAllParity checks the parallel ReadAll against its
+// sequential reference: ReadDCG, then ExtractFunction for each
+// function in Functions() order. Where the reference fails, ReadAll
+// must fail with the first error it met, equal in code, offset and
+// message. Where it succeeds, ReadAll must return a TWPP
+// reflect.DeepEqual to the reference's, or, exactly when some DCG node
+// references a trace the blocks lack, fail with CodeCorrupt.
+func CheckReadAllParity(cf *wppfile.CompactedFile) error {
+	want, wantErr := readAllSequential(cf)
+	got, gotErr := cf.ReadAll()
+	if wantErr != nil {
+		if !sameError(gotErr, wantErr) {
+			return fmt.Errorf("ReadAll error %v, sequential reference %v", gotErr, wantErr)
+		}
+		return nil
+	}
+	if dangling := danglingRef(want); dangling || gotErr != nil {
+		var de *encoding.Error
+		if !dangling || !errors.As(gotErr, &de) || de.Code != encoding.CodeCorrupt {
+			return fmt.Errorf("ReadAll error %v with a dangling DCG reference %v", gotErr, dangling)
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		return errors.New("ReadAll differs from the sequential reference")
 	}
 	return nil
+}
+
+// sameError reports whether a and b are the same failure: both nil,
+// or equal messages and, for structured errors, equal code and offset.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Error() != b.Error() {
+		return false
+	}
+	var ea, eb *encoding.Error
+	if errors.As(a, &ea) != errors.As(b, &eb) {
+		return false
+	}
+	return ea == nil || (ea.Code == eb.Code && ea.Offset == eb.Offset)
 }
 
 // EqualFunctionTWPP compares two decoded function blocks semantically

@@ -85,7 +85,7 @@ func CheckSegmentedParity(w *trace.RawWPP, kind storage.Kind) (vErr error) {
 				return fmt.Errorf("%s: segmented extract fn %d: %w", stage, fn, err)
 			}
 			if err := EqualFunctionTWPP(a, b); err != nil {
-				return fmt.Errorf("%s: fn %d allocating path: %w", stage, fn, err)
+				return fmt.Errorf("%s: fn %d owned path: %w", stage, fn, err)
 			}
 			buf := segment.GetBuffer()
 			p, err := set.ExtractFunctionInto(fn, buf)

@@ -95,8 +95,7 @@ func (d Dictionary) sortedHeads() []cfg.BlockID {
 // themselves live with the caller, which supplies an equality check
 // against its own storage — so one implementation serves both the
 // batch path (values in a slice) and the streaming path (values inside
-// per-trace records). The segment merger reuses it for cross-segment
-// re-deduplication of path traces and dictionaries.
+// per-trace records).
 type Interner struct {
 	buckets map[uint64][]int
 }
@@ -125,29 +124,5 @@ func (in *Interner) insert(h uint64, idx int) {
 	in.buckets[h] = append(in.buckets[h], idx)
 }
 
-// Lookup is the exported form of lookup.
-func (in *Interner) Lookup(h uint64, same func(idx int) bool) (int, bool) {
-	return in.lookup(h, same)
-}
-
-// Insert is the exported form of insert.
-func (in *Interner) Insert(h uint64, idx int) { in.insert(h, idx) }
-
-// Reset empties the interner, keeping the bucket map's storage so a
-// pooled interner warms up once.
-func (in *Interner) Reset() {
-	clear(in.buckets)
-}
-
-// HashDict is the exported form of hashDict: the canonical 64-bit
-// FNV-1a content hash of a dictionary.
-func HashDict(d Dictionary) uint64 { return hashDict(d) }
-
 // DictsEqual is the exported form of dictsEqual.
 func DictsEqual(a, b Dictionary) bool { return dictsEqual(a, b) }
-
-// HashTrace is the exported form of hashTrace.
-func HashTrace(t PathTrace) uint64 { return hashTrace(t) }
-
-// TracesEqual is the exported form of tracesEqual.
-func TracesEqual(a, b PathTrace) bool { return tracesEqual(a, b) }

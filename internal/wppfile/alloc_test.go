@@ -159,6 +159,93 @@ func TestExtractIntoConcurrent(t *testing.T) {
 	}
 }
 
+// dictSink keeps the maps TestOwnedExtractAllocs builds on the heap,
+// as the owned copy's maps are.
+var dictSink wpp.Dictionary
+
+// Owned extraction is a pooled decode plus one exact copy: on a warm
+// pool it allocates at most eight objects (the result header and its
+// Dicts, Traces, DictOf, trace, block-times, entry and chain arrays)
+// plus what building each dictionary's map costs, whatever the
+// block's trace and block counts.
+func TestOwnedExtractAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled paths are random under -race")
+	}
+	const fixed = 8
+	w := testkit.Generate(testkit.Config{Seed: 11, Shape: testkit.Irregular, Calls: 400})
+	_, img, err := testkit.EncodeBoth(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := wppfile.OpenCompactedBytes(img, wppfile.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	maxTraces := 0
+	for _, fn := range cf.Functions() {
+		ft, err := cf.ExtractFunction(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxTraces = max(maxTraces, len(ft.Traces))
+		maps := testing.AllocsPerRun(20, func() {
+			for _, d := range ft.Dicts {
+				m := make(wpp.Dictionary, len(d))
+				for h, chain := range d {
+					m[h] = chain
+				}
+				dictSink = m
+			}
+		})
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := cf.ExtractFunction(fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n-maps > fixed || n-maps < 1 {
+			t.Errorf("fn %d (%d traces, %d dictionaries): %.0f allocs per owned extract, %.0f of them maps; want 1..%d besides the maps",
+				fn, len(ft.Traces), len(ft.Dicts), n, maps, fixed)
+		}
+	}
+	if maxTraces <= fixed {
+		t.Fatalf("largest block has %d traces; the corpus cannot tell per-trace allocation from a fixed count", maxTraces)
+	}
+}
+
+// ReadDCG decodes into pooled scratch and carves the tree from three
+// slabs, so the objects it allocates do not grow with the call count.
+func TestReadDCGAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled paths are random under -race")
+	}
+	var allocs []float64
+	for _, calls := range []int{8, 800} {
+		w := testkit.Generate(testkit.Config{Seed: 5, Shape: testkit.Irregular, Calls: calls})
+		_, img, err := testkit.EncodeBoth(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := wppfile.OpenCompactedBytes(img, wppfile.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cf.ReadDCG(); err != nil {
+			t.Fatal(err)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			if _, err := cf.ReadDCG(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		cf.Close()
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("ReadDCG allocates %.0f objects at 8 calls but %.0f at 800", allocs[0], allocs[1])
+	}
+}
+
 // TestAppendTraceRecordZeroAllocs pins that encoding a trace record
 // into a buffer with room allocates nothing: every entry's varints go
 // straight into the buffer, with no per-block scratch slice.

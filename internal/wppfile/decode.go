@@ -18,12 +18,6 @@ import (
 	"twpp/internal/wpp"
 )
 
-// decodeFunctionBlock decodes one function's block. Offsets in the
-// returned errors are relative to the block start.
-func decodeFunctionBlock(data []byte, fn cfg.FuncID, lim limits) (*core.FunctionTWPP, error) {
-	return decodeFunctionBlockInto(data, fn, lim, nil)
-}
-
 // readBlockIDs batch-decodes len(dst) unsigned varints into dst
 // through a fixed chunk scratch, so the decode is bounds-checked once
 // per chunk and allocates nothing regardless of the caller's path.
@@ -45,10 +39,12 @@ func readBlockIDs(c *encoding.Cursor, dst []cfg.BlockID) error {
 	return nil
 }
 
-// decodeFunctionBlockInto is decodeFunctionBlock decoding into b's
-// reusable storage; a nil b allocates fresh results. Both paths run
-// this one implementation, so results and structured errors are
-// identical by construction (the parity tests assert it anyway).
+// decodeFunctionBlockInto decodes one function's block into b's
+// reusable storage; the result aliases b. It is the one block decoder:
+// owned extraction copies its result (see own), so both extraction
+// paths return identical results and structured errors by
+// construction. Offsets in the returned errors are relative to the
+// block start.
 func decodeFunctionBlockInto(data []byte, fn cfg.FuncID, lim limits, b *ExtractBuffer) (*core.FunctionTWPP, error) {
 	c := encoding.NewCursor(data)
 	ft := b.funcSlot(fn)
@@ -164,7 +160,7 @@ func decodeFunctionBlockInto(data []byte, fn cfg.FuncID, lim limits, b *ExtractB
 			}
 			b.commitEntries(seq)
 			if len(seq) == 0 {
-				// Match the allocating decoder, whose empty set is nil.
+				// An empty set is nil, never an empty arena slice.
 				seq = nil
 			}
 			tr.Blocks[j] = core.BlockTimes{Block: cfg.BlockID(bid), Times: seq}
@@ -176,54 +172,104 @@ func decodeFunctionBlockInto(data []byte, fn cfg.FuncID, lim limits, b *ExtractB
 	return ft, nil
 }
 
+// maxDCGDepth bounds the DCG's call nesting, so a hostile section
+// cannot recurse the decoder without limit.
+const maxDCGDepth = 1 << 20
+
+// decodeDCG decodes the preorder DCG encoding (function, trace index,
+// child count, then per child its position delta and subtree) in two
+// passes over the same walker. The first pass only counts nodes and
+// child slots, failing exactly where the build would; the second
+// carves every node and every Children/ChildPos slice from three slabs
+// sized by that count, so the tree costs three allocations whatever
+// its call count, and a hostile section is rejected before any slab
+// is sized by it.
 func decodeDCG(data []byte) (*wpp.CallNode, error) {
-	c := encoding.NewCursor(data)
-	var rec func(depth int) (*wpp.CallNode, error)
-	rec = func(depth int) (*wpp.CallNode, error) {
-		if depth > 1<<20 {
-			return nil, encoding.Errf(encoding.CodeLimit, int64(c.Pos()), "wppfile: DCG nesting too deep")
-		}
-		fn, err := c.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ti, err := c.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		nc, err := c.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nc > uint64(c.Len()) {
-			return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: DCG child count %d too large", nc)
-		}
-		n := &wpp.CallNode{Fn: cfg.FuncID(fn), TraceIdx: int(ti)}
-		prev := 0
-		for i := uint64(0); i < nc; i++ {
-			delta, err := c.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			pos := prev + int(delta)
-			prev = pos
-			child, err := rec(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, child)
-			n.ChildPos = append(n.ChildPos, pos)
-		}
-		return n, nil
+	d := dcgDecoder{c: encoding.NewCursor(data)}
+	if _, err := d.decode(); err != nil {
+		return nil, err
 	}
-	root, err := rec(0)
+	d = dcgDecoder{
+		c:     encoding.NewCursor(data),
+		nodes: make([]wpp.CallNode, d.nodeCount),
+		kids:  make([]*wpp.CallNode, d.kidCount),
+		pos:   make([]int, d.kidCount),
+		build: true,
+	}
+	return d.decode()
+}
+
+// dcgDecoder is one decodeDCG pass. Counting, it only advances
+// nodeCount and kidCount; building, it takes the next node and the
+// next child slots from the slabs.
+type dcgDecoder struct {
+	c                   *encoding.Cursor
+	nodes               []wpp.CallNode
+	kids                []*wpp.CallNode
+	pos                 []int
+	nodeCount, kidCount int
+	build               bool
+}
+
+// decode walks the whole encoding: the root's subtree, then nothing.
+func (d *dcgDecoder) decode() (*wpp.CallNode, error) {
+	root, err := d.node(0)
 	if err != nil {
 		return nil, err
 	}
-	if !c.Done() {
-		return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: %d trailing bytes after DCG", c.Len())
+	if !d.c.Done() {
+		return nil, encoding.Errf(encoding.CodeCorrupt, int64(d.c.Pos()), "wppfile: %d trailing bytes after DCG", d.c.Len())
 	}
 	return root, nil
+}
+
+// node decodes one subtree at the given nesting depth; it returns nil
+// while counting.
+func (d *dcgDecoder) node(depth int) (*wpp.CallNode, error) {
+	c := d.c
+	if depth > maxDCGDepth {
+		return nil, encoding.Errf(encoding.CodeLimit, int64(c.Pos()), "wppfile: DCG nesting too deep")
+	}
+	// Function, trace index and child count, in one batch: it fails
+	// at the same value and offset as three single reads would.
+	var hdr [3]uint64
+	if err := c.UvarintBatch(hdr[:]); err != nil {
+		return nil, err
+	}
+	fn, ti, nc := hdr[0], hdr[1], hdr[2]
+	if nc > uint64(c.Len()) {
+		return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: DCG child count %d too large", nc)
+	}
+	var n *wpp.CallNode
+	if d.build {
+		n = &d.nodes[d.nodeCount]
+		n.Fn, n.TraceIdx = cfg.FuncID(fn), int(ti)
+		if nc > 0 {
+			k := d.kidCount
+			n.Children = d.kids[k : k+int(nc) : k+int(nc)]
+			n.ChildPos = d.pos[k : k+int(nc) : k+int(nc)]
+		}
+	}
+	d.nodeCount++
+	d.kidCount += int(nc)
+	prev := 0
+	for i := 0; i < int(nc); i++ {
+		delta, err := c.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		p := prev + int(delta)
+		prev = p
+		child, err := d.node(depth + 1)
+		if err != nil {
+			return nil, err
+		}
+		if n != nil {
+			n.Children[i] = child
+			n.ChildPos[i] = p
+		}
+	}
+	return n, nil
 }
 
 // ---------------------------------------------------------------------
@@ -354,6 +400,12 @@ func (cf *CompactedFile) parseV1(head []byte) error {
 				"wppfile: index entry function id %d beyond name table (%d names)", v, nf)
 		}
 		e.Fn = cfg.FuncID(v)
+		// It also indexes each function once. A repeat would list the
+		// function twice in Functions() and have ReadAll decode it
+		// twice, racing on its one result slot.
+		if _, dup := cf.index[e.Fn]; dup {
+			return encoding.Errf(encoding.CodeCorrupt, entryAt, "wppfile: index lists function %d twice", e.Fn)
+		}
 		if v, err = c.Uvarint(); err != nil {
 			return err
 		}
@@ -523,6 +575,9 @@ func (cf *CompactedFile) parseMetaV2(mb []byte, base int64) error {
 				"wppfile: index entry function id %d beyond name table (%d names)", v, nf)
 		}
 		e.Fn = cfg.FuncID(v)
+		if _, dup := cf.index[e.Fn]; dup {
+			return encoding.Errf(encoding.CodeCorrupt, entryAt, "wppfile: index lists function %d twice", e.Fn)
+		}
 		if v, err = c.Uvarint(); err != nil {
 			return err
 		}

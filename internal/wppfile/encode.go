@@ -130,20 +130,25 @@ func EncodeCompactedFormat(t *core.TWPP, workers, format int) ([]byte, error) {
 	}
 
 	dcg := lzw.Compress(encodeDCG(t.Root))
+	return assembleImage(t.FuncNames, index, dcg, blocks, format), nil
+}
 
+// assembleImage lays out a container image from its encoded parts: the
+// name table, the index, the compressed DCG and the concatenated
+// function blocks.
+func assembleImage(names []string, index []indexEntry, dcg, blocks []byte, format int) []byte {
 	if format == FormatV1 {
 		// v1: header, names, index, DCG, blocks — implicit layout.
-		buf := appendCompactedHeader(nil, t, index, len(dcg))
+		buf := appendCompactedHeader(nil, names, index, len(dcg))
 		buf = append(buf, dcg...)
-		buf = append(buf, blocks...)
-		return buf, nil
+		return append(buf, blocks...)
 	}
 
 	// v2: magic/version, META, DCG, BLOCKS, then the trailer
 	// directory locating and checksumming all three.
 	buf := appendV2Prefix(nil)
 	metaOff := len(buf)
-	buf = appendMetaV2(buf, t, index)
+	buf = appendMetaV2(buf, names, index)
 	meta := section{ID: SecMeta, Codec: CodecRaw, Offset: int64(metaOff),
 		Length: int64(len(buf) - metaOff), CRC: Checksum(buf[metaOff:])}
 	dcgOff := len(buf)
@@ -154,7 +159,7 @@ func EncodeCompactedFormat(t *core.TWPP, workers, format int) ([]byte, error) {
 	buf = append(buf, blocks...)
 	blocksSec := section{ID: SecBlocks, Codec: CodecRaw, Offset: int64(blocksOff),
 		Length: int64(len(blocks)), CRC: Checksum(blocks)}
-	return appendDirectory(buf, []section{meta, dcgSec, blocksSec}), nil
+	return appendDirectory(buf, []section{meta, dcgSec, blocksSec})
 }
 
 // appendV2Prefix appends the fixed v2 prefix: magic plus the version
@@ -167,11 +172,11 @@ func appendV2Prefix(buf []byte) []byte {
 // appendCompactedHeader appends the v1 header, name table, index, and
 // DCG length prefix — everything that precedes the compressed DCG
 // bytes in a v1 file.
-func appendCompactedHeader(buf []byte, t *core.TWPP, index []indexEntry, dcgLen int) []byte {
+func appendCompactedHeader(buf []byte, names []string, index []indexEntry, dcgLen int) []byte {
 	buf = encoding.PutUint32(buf, MagicCompacted)
 	buf = encoding.PutUvarint(buf, FormatV1)
-	buf = encoding.PutUvarint(buf, uint64(len(t.FuncNames)))
-	for _, n := range t.FuncNames {
+	buf = encoding.PutUvarint(buf, uint64(len(names)))
+	for _, n := range names {
 		buf = encoding.PutString(buf, n)
 	}
 	buf = encoding.PutUvarint(buf, uint64(len(index)))
@@ -186,9 +191,9 @@ func appendCompactedHeader(buf []byte, t *core.TWPP, index []indexEntry, dcgLen 
 
 // appendMetaV2 appends the v2 META section payload: name table and the
 // per-function index, each entry carrying its block's CRC32-C.
-func appendMetaV2(buf []byte, t *core.TWPP, index []indexEntry) []byte {
-	buf = encoding.PutUvarint(buf, uint64(len(t.FuncNames)))
-	for _, n := range t.FuncNames {
+func appendMetaV2(buf []byte, names []string, index []indexEntry) []byte {
+	buf = encoding.PutUvarint(buf, uint64(len(names)))
+	for _, n := range names {
 		buf = encoding.PutString(buf, n)
 	}
 	buf = encoding.PutUvarint(buf, uint64(len(index)))

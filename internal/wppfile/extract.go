@@ -1,10 +1,12 @@
-// Pooled extraction: ExtractBuffer owns every piece of memory a
-// function-block decode needs, so a warm extract performs zero heap
-// allocations. The allocating path (ExtractFunction) and the pooled
-// path (ExtractFunctionInto) share one decoder implementation —
-// decodeFunctionBlockInto with a nil buffer allocates exactly as the
-// original code did — so the two paths return identical results and
-// identical structured errors on identical inputs.
+// Extraction memory: ExtractBuffer owns every piece of memory a
+// function-block decode needs, so a warm decode performs zero heap
+// allocations. There is one decoder, and it always decodes into a
+// buffer. The pooled path (ExtractFunctionInto) hands the caller the
+// buffer-backed result; the owned path (ExtractFunction, or
+// ExtractFunctionInto with a nil buffer) decodes into a pooled buffer
+// and copies the result into exactly sized memory of its own (see
+// own). Both paths therefore return identical results and identical
+// structured errors on identical inputs.
 //
 // # Ownership contract
 //
@@ -96,21 +98,14 @@ func (b *ExtractBuffer) blockBuf(n int) []byte {
 	return b.block
 }
 
-// funcSlot returns the FunctionTWPP the decode populates: the buffer's
-// reused header, or a fresh allocation for the nil (allocating) path.
+// funcSlot returns the buffer's reused result header for fn.
 func (b *ExtractBuffer) funcSlot(fn cfg.FuncID) *core.FunctionTWPP {
-	if b == nil {
-		return &core.FunctionTWPP{Fn: fn}
-	}
 	b.ft = core.FunctionTWPP{Fn: fn}
 	return &b.ft
 }
 
 // signedVals returns an int64 scratch slice of length n.
 func (b *ExtractBuffer) signedVals(n int) []int64 {
-	if b == nil {
-		return make([]int64, n)
-	}
 	if cap(b.svals) < n {
 		b.svals = make([]int64, n)
 	}
@@ -121,9 +116,6 @@ func (b *ExtractBuffer) signedVals(n int) []int64 {
 // allocDicts returns the dictionary slice of length n, retaining any
 // previously built maps for reuse.
 func (b *ExtractBuffer) allocDicts(n int) []wpp.Dictionary {
-	if b == nil {
-		return make([]wpp.Dictionary, n)
-	}
 	if cap(b.dicts) < n {
 		nd := make([]wpp.Dictionary, n)
 		copy(nd, b.dicts[:cap(b.dicts)])
@@ -134,17 +126,9 @@ func (b *ExtractBuffer) allocDicts(n int) []wpp.Dictionary {
 }
 
 // allocTraces returns the trace-pointer and dictionary-index slices of
-// length n. For a buffer, the pointers address the buffer's trace
-// arena, so the values are reused in place.
+// length n. The pointers address the buffer's trace arena, so the
+// values are reused in place.
 func (b *ExtractBuffer) allocTraces(n int) ([]*core.Trace, []int) {
-	if b == nil {
-		vals := make([]core.Trace, n)
-		ptrs := make([]*core.Trace, n)
-		for i := range ptrs {
-			ptrs[i] = &vals[i]
-		}
-		return ptrs, make([]int, n)
-	}
 	if cap(b.traces) < n {
 		b.traces = make([]core.Trace, n)
 	}
@@ -167,9 +151,6 @@ func (b *ExtractBuffer) allocTraces(n int) ([]*core.Trace, []int) {
 // arena is full it is replaced with a larger one; slices carved
 // earlier keep the old backing array, so they stay valid.
 func (b *ExtractBuffer) allocChain(n int) wpp.PathTrace {
-	if b == nil {
-		return make(wpp.PathTrace, n)
-	}
 	if cap(b.chains)-len(b.chains) < n {
 		b.chains = make([]cfg.BlockID, 0, 2*cap(b.chains)+n)
 	}
@@ -180,9 +161,6 @@ func (b *ExtractBuffer) allocChain(n int) wpp.PathTrace {
 
 // allocTimes carves an n-element block-times slice from the arena.
 func (b *ExtractBuffer) allocTimes(n int) []core.BlockTimes {
-	if b == nil {
-		return make([]core.BlockTimes, n)
-	}
 	if cap(b.times)-len(b.times) < n {
 		b.times = make([]core.BlockTimes, 0, 2*cap(b.times)+n)
 	}
@@ -197,9 +175,6 @@ func (b *ExtractBuffer) allocTimes(n int) []core.BlockTimes {
 // decodes to at most n entries (every entry consumes at least one
 // value), so the reservation never overflows.
 func (b *ExtractBuffer) reserveEntries(n int) core.Seq {
-	if b == nil {
-		return nil
-	}
 	if cap(b.entries)-len(b.entries) < n {
 		b.entries = make(core.Seq, 0, 2*cap(b.entries)+n)
 	}
@@ -209,9 +184,66 @@ func (b *ExtractBuffer) reserveEntries(n int) core.Seq {
 
 // commitEntries advances the entries arena past the seq just decoded.
 func (b *ExtractBuffer) commitEntries(s core.Seq) {
-	if b != nil {
-		b.entries = b.entries[:len(b.entries)+len(s)]
+	b.entries = b.entries[:len(b.entries)+len(s)]
+}
+
+// own copies a block decoded into an ExtractBuffer into exactly sized
+// memory the caller owns: one array each for the traces, their
+// pointers, DictOf, the block-times, the timestamp entries and the
+// chain ids, plus one map per dictionary. Each sub-slice is capped at
+// its own length, so appending to one reallocates rather than writing
+// into its neighbour. An empty timestamp set stays nil; every other
+// slice is non-nil, even when empty.
+func own(src *core.FunctionTWPP) *core.FunctionTWPP {
+	nchain, nblocks, nents := 0, 0, 0
+	for _, d := range src.Dicts {
+		for _, chain := range d {
+			nchain += len(chain)
+		}
 	}
+	for _, tr := range src.Traces {
+		nblocks += len(tr.Blocks)
+		for _, bt := range tr.Blocks {
+			nents += len(bt.Times)
+		}
+	}
+	ft := &core.FunctionTWPP{
+		Fn:        src.Fn,
+		Traces:    make([]*core.Trace, len(src.Traces)),
+		Dicts:     make([]wpp.Dictionary, len(src.Dicts)),
+		DictOf:    make([]int, len(src.DictOf)),
+		CallCount: src.CallCount,
+	}
+	copy(ft.DictOf, src.DictOf)
+	chains := make(wpp.PathTrace, nchain)
+	for i, d := range src.Dicts {
+		od := make(wpp.Dictionary, len(d))
+		for h, chain := range d {
+			n := copy(chains, chain)
+			od[h] = chains[:n:n]
+			chains = chains[n:]
+		}
+		ft.Dicts[i] = od
+	}
+	traces := make([]core.Trace, len(src.Traces))
+	times := make([]core.BlockTimes, nblocks)
+	ents := make(core.Seq, nents)
+	for i, tr := range src.Traces {
+		nb := len(tr.Blocks)
+		blocks := times[:nb:nb]
+		times = times[nb:]
+		for j, bt := range tr.Blocks {
+			blocks[j].Block = bt.Block
+			if len(bt.Times) > 0 {
+				n := copy(ents, bt.Times)
+				blocks[j].Times = ents[:n:n]
+				ents = ents[n:]
+			}
+		}
+		traces[i] = core.Trace{Blocks: blocks, Len: tr.Len}
+		ft.Traces[i] = &traces[i]
+	}
+	return ft
 }
 
 // ExtractFunctionInto is ExtractFunction decoding into buf's reusable
@@ -219,7 +251,7 @@ func (b *ExtractBuffer) commitEntries(s core.Seq) {
 // performs zero heap allocations. See the package comment on the
 // ownership contract — the result is only valid until buf's next use.
 // A nil buf is allowed and behaves like ExtractFunction without cache
-// insertion.
+// insertion: the result is owned by the caller.
 func (cf *CompactedFile) ExtractFunctionInto(fn cfg.FuncID, buf *ExtractBuffer) (*core.FunctionTWPP, error) {
 	return cf.ExtractFunctionIntoCtx(context.Background(), fn, buf)
 }

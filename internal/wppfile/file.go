@@ -304,7 +304,8 @@ func (cf *CompactedFile) ExtractFunctionCtx(ctx context.Context, fn cfg.FuncID) 
 // ExtractFunctionCtx (buf == nil, cacheable) and
 // ExtractFunctionIntoCtx (caller buffer, never cached: the cache must
 // only hold blocks it owns, and a buffer-decoded block is overwritten
-// by the buffer's next use).
+// by the buffer's next use). With a nil ebuf the block decodes into a
+// pooled buffer and the result is an owned copy of it.
 func (cf *CompactedFile) extractCtx(ctx context.Context, fn cfg.FuncID, ebuf *ExtractBuffer, cacheable bool) (*core.FunctionTWPP, error) {
 	if cf.closed.Load() {
 		return nil, fmt.Errorf("wppfile: extract function %d: %w", fn, os.ErrClosed)
@@ -324,13 +325,13 @@ func (cf *CompactedFile) extractCtx(ctx context.Context, fn cfg.FuncID, ebuf *Ex
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var buf []byte
-	if ebuf != nil {
-		ebuf.reset()
-		buf = ebuf.blockBuf(e.Length)
-	} else {
-		buf = make([]byte, e.Length)
+	owned := ebuf == nil
+	if owned {
+		ebuf = GetExtractBuffer()
+		defer PutExtractBuffer(ebuf)
 	}
+	ebuf.reset()
+	buf := ebuf.blockBuf(e.Length)
 	if _, err := cf.b.ReadAt(buf, cf.blocksOffset+int64(e.Offset)); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, encoding.Wrap(encoding.CodeTruncated, cf.blocksOffset+int64(e.Offset), err,
@@ -350,6 +351,9 @@ func (cf *CompactedFile) extractCtx(ctx context.Context, fn cfg.FuncID, ebuf *Ex
 	ft, err := decodeFunctionBlockInto(buf, fn, cf.lim, ebuf)
 	if err != nil {
 		return nil, err
+	}
+	if owned {
+		ft = own(ft)
 	}
 	if cf.inst != nil && cf.inst.OnDecode != nil {
 		cf.inst.OnDecode(fn, e.Length)
@@ -399,16 +403,28 @@ func (cf *CompactedFile) ContentHash() (uint64, bool) {
 	return uint64(cf.dirCRC)<<32 | uint64(uint32(cf.size)), true
 }
 
-// ReadDCG reads and decodes the dynamic call graph. On v2 files the
-// section checksum is verified the first time (racing first readers
-// may both verify; the check is idempotent). The decompressed size is
-// capped by OpenOptions.MaxTraceBytes, so a hostile DCG section cannot
-// balloon (LZW expands up to ~65000x).
+// dcgScratch is ReadDCG's pooled working memory: the stored section
+// bytes and their decompression. The decoded tree references neither.
+type dcgScratch struct{ stored, raw []byte }
+
+var dcgScratchPool = sync.Pool{New: func() any { return new(dcgScratch) }}
+
+// ReadDCG reads and decodes the dynamic call graph into a fresh tree
+// the caller owns. On v2 files the section checksum is verified the
+// first time (racing first readers may both verify; the check is
+// idempotent). The decompressed size is capped by
+// OpenOptions.MaxTraceBytes, so a hostile DCG section cannot balloon
+// (LZW expands up to ~65000x).
 func (cf *CompactedFile) ReadDCG() (*wpp.CallNode, error) {
 	if cf.closed.Load() {
 		return nil, fmt.Errorf("wppfile: read DCG: %w", os.ErrClosed)
 	}
-	buf := make([]byte, cf.dcgLen)
+	s := dcgScratchPool.Get().(*dcgScratch)
+	defer dcgScratchPool.Put(s)
+	if cap(s.stored) < cf.dcgLen {
+		s.stored = make([]byte, cf.dcgLen)
+	}
+	buf := s.stored[:cf.dcgLen]
 	if _, err := cf.b.ReadAt(buf, cf.dcgOffset); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, encoding.Wrap(encoding.CodeTruncated, cf.dcgOffset, err, "wppfile: short read of DCG section")
@@ -428,52 +444,91 @@ func (cf *CompactedFile) ReadDCG() (*wpp.CallNode, error) {
 			max = math.MaxInt
 		}
 		var err error
-		raw, err = lzw.DecompressLimit(buf, int(max))
+		raw, err = lzw.AppendDecompress(s.raw[:0], buf, int(max))
 		if err != nil {
 			return nil, encoding.Wrap(encoding.CodeCorrupt, cf.dcgOffset, err, "wppfile: DCG")
 		}
+		s.raw = raw
 	}
 	return decodeDCG(raw)
 }
 
-// ReadAll reconstructs the complete TWPP from the file.
+// ReadAll reconstructs the complete TWPP from the file, decoding the
+// DCG and every function block in parallel (see Assemble).
 func (cf *CompactedFile) ReadAll() (*core.TWPP, error) {
-	root, err := cf.ReadDCG()
-	if err != nil {
-		return nil, err
-	}
-	maxFn := len(cf.FuncNames)
-	for _, fn := range cf.order {
+	return Assemble(cf.FuncNames, cf.order, cf.ReadDCG, cf.ExtractFunction,
+		func(fn cfg.FuncID, traceIdx int) error {
+			return encoding.Errf(encoding.CodeCorrupt, cf.dcgOffset,
+				"wppfile: DCG node references function %d trace %d, not in file", fn, traceIdx)
+		})
+}
+
+// Assemble builds a complete TWPP from one DCG decode and one block
+// per function of order, which must list each function once. The DCG
+// is job 0 and order[i] is job i+1 of one wpp.RunJobs call at
+// GOMAXPROCS, so at GOMAXPROCS 1 the jobs run inline in that order.
+// Each job writes only its own result slot and records its own error;
+// a job is skipped once an earlier job has failed, and the first
+// error in job order is returned: the error a sequential decode
+// reports. After the jobs, every DCG node's (function, trace)
+// reference is validated against the decoded blocks, so downstream
+// walkers (reconstruction, slicing, queries) can index Funcs and
+// Traces without re-checking corrupt input; badRef builds the error
+// for the first node that fails.
+func Assemble(names []string, order []cfg.FuncID,
+	readDCG func() (*wpp.CallNode, error),
+	extract func(cfg.FuncID) (*core.FunctionTWPP, error),
+	badRef func(fn cfg.FuncID, traceIdx int) error) (*core.TWPP, error) {
+	maxFn := len(names)
+	for _, fn := range order {
 		if int(fn) >= maxFn {
 			maxFn = int(fn) + 1
 		}
 	}
-	t := &core.TWPP{
-		FuncNames: cf.FuncNames,
-		Root:      root,
-		Funcs:     make([]core.FunctionTWPP, maxFn),
-	}
+	t := &core.TWPP{FuncNames: names, Funcs: make([]core.FunctionTWPP, maxFn)}
 	for f := range t.Funcs {
 		t.Funcs[f].Fn = cfg.FuncID(f)
 	}
-	for _, fn := range cf.order {
-		ft, err := cf.ExtractFunction(fn)
+	errs := make([]error, len(order)+1)
+	var firstFailed atomic.Int64
+	firstFailed.Store(int64(len(errs)))
+	// RunJobs fails only on a canceled context, and Background never is.
+	_ = wpp.RunJobs(context.Background(), len(errs), 0, func(i int) {
+		if int64(i) > firstFailed.Load() {
+			return
+		}
+		var err error
+		if i == 0 {
+			t.Root, err = readDCG()
+		} else {
+			var ft *core.FunctionTWPP
+			if ft, err = extract(order[i-1]); err == nil {
+				t.Funcs[order[i-1]] = *ft
+			}
+		}
+		if err == nil {
+			return
+		}
+		errs[i] = err
+		for {
+			cur := firstFailed.Load()
+			if int64(i) >= cur || firstFailed.CompareAndSwap(cur, int64(i)) {
+				return
+			}
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		t.Funcs[fn] = *ft
 	}
-	// Validate every DCG reference against the decoded blocks so
-	// downstream walkers (reconstruction, slicing, queries) can index
-	// Funcs and Traces without re-checking corrupt input.
 	var walk func(n *wpp.CallNode) error
 	walk = func(n *wpp.CallNode) error {
 		if n == nil {
 			return nil
 		}
 		if int(n.Fn) >= len(t.Funcs) || n.TraceIdx < 0 || n.TraceIdx >= len(t.Funcs[n.Fn].Traces) {
-			return encoding.Errf(encoding.CodeCorrupt, cf.dcgOffset,
-				"wppfile: DCG node references function %d trace %d, not in file", n.Fn, n.TraceIdx)
+			return badRef(n.Fn, n.TraceIdx)
 		}
 		for _, ch := range n.Children {
 			if err := walk(ch); err != nil {
@@ -482,7 +537,7 @@ func (cf *CompactedFile) ReadAll() (*core.TWPP, error) {
 		}
 		return nil
 	}
-	if err := walk(root); err != nil {
+	if err := walk(t.Root); err != nil {
 		return nil, err
 	}
 	return t, nil

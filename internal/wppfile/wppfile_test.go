@@ -1,6 +1,8 @@
 package wppfile
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 
 	"twpp/internal/cfg"
 	"twpp/internal/core"
+	"twpp/internal/encoding"
 	"twpp/internal/trace"
 	"twpp/internal/wpp"
 )
@@ -249,6 +252,42 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 		if _, err := ReadRaw(p); err == nil {
 			t.Errorf("%s (raw): want error", name)
 		}
+	}
+}
+
+// An index that lists a function twice is corrupt in either format,
+// even when every checksum is valid: Open must reject it before
+// Functions() repeats the function or ReadAll decodes it twice.
+func TestOpenRejectsDuplicateIndexEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	_, tw := buildTWPP(t, rng, 60)
+	for _, format := range []int{FormatV1, FormatV2} {
+		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
+			img, err := EncodeCompactedFormat(tw, 1, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cf, err := OpenCompactedBytes(img, OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			index := make([]indexEntry, 0, len(cf.order)+1)
+			for _, fn := range cf.order {
+				index = append(index, cf.index[fn])
+			}
+			index = append(index, index[0])
+			dcg := img[cf.dcgOffset : cf.dcgOffset+int64(cf.dcgLen)]
+			blocks := img[cf.blocksOffset : cf.blocksOffset+cf.blocksLen]
+			bad := assembleImage(cf.FuncNames, index, dcg, blocks, format)
+			cf, err = OpenCompactedBytes(bad, OpenOptions{VerifyChecksums: true})
+			var de *encoding.Error
+			if !errors.As(err, &de) || de.Code != encoding.CodeCorrupt {
+				if err == nil {
+					err = fmt.Errorf("opened, Functions() = %v", cf.Functions())
+				}
+				t.Fatalf("index listing function %d twice: %v, want a CodeCorrupt error at Open", index[0].Fn, err)
+			}
+		})
 	}
 }
 
