@@ -144,14 +144,15 @@ passes-test:
 # the seeded cases run as ordinary tests): the compaction determinism
 # targets at the root, the event demux's block runs against
 # symbol-at-a-time feeding, the two compaction kernels and the slab DCG
-# decoder against their reference oracles, the hostile-input decode
+# decoder against their reference oracles, the content table against a
+# map, the hostile-input decode
 # targets in wppfile and encoding, the segmented-container manifest
 # decoder, the ingest wire frame, the diff engine, and the
 # analysis-pass dispatcher.
 fuzz-seed:
 	$(GO) test -run 'FuzzParallelCompactDeterminism|FuzzStreamCompactDeterminism' .
 	$(GO) test -run 'FuzzDemuxRuns' ./internal/trace/
-	$(GO) test -run 'FuzzCompactTrace' ./internal/wpp/
+	$(GO) test -run 'FuzzCompactTrace|FuzzTable' ./internal/wpp/
 	$(GO) test -run 'FuzzFromPath' ./internal/core/
 	$(GO) test -run 'FuzzDecodeCompacted|FuzzStreamRoundTrip|FuzzDecodeDCG' ./internal/wppfile/
 	$(GO) test -run 'FuzzUvarintBatchParity' ./internal/encoding/

@@ -462,10 +462,11 @@ func BenchmarkAblationSeriesVsRawTimestamps(b *testing.B) {
 }
 
 // BenchmarkAblationDCGCompression compares LZW against storing the
-// DCG uncompressed.
+// DCG uncompressed, on the compacted DCG's bytes as a container stores
+// them.
 func BenchmarkAblationDCGCompression(b *testing.B) {
-	w := buildWorkload(b, "126.gcc-like")
-	raw := w.EncodeDCG()
+	c, _ := wpp.Compact(buildWorkload(b, "126.gcc-like"))
+	raw := wppfile.EncodeDCG(c.Root)
 	b.Run("lzw", func(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		var n int

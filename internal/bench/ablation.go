@@ -7,7 +7,7 @@ import (
 	"twpp/internal/core"
 	"twpp/internal/dataflow"
 	"twpp/internal/lzw"
-	"twpp/internal/wpp"
+	"twpp/internal/wppfile"
 )
 
 // Ablation quantifies the contribution of each design decision in the
@@ -77,42 +77,11 @@ func MeasureAblation(r *Result) (*Ablation, error) {
 		}
 	}
 
-	// DCG: serialize the compacted call graph and compare raw vs LZW.
-	raw := encodeDCGForAblation(tw.Root)
+	// DCG: the compacted call graph's stored bytes, raw vs LZW.
+	raw := wppfile.EncodeDCG(tw.Root)
 	a.DCGRaw = len(raw)
 	a.DCGLZW = len(lzw.Compress(raw))
 	return a, nil
-}
-
-// encodeDCGForAblation serializes the compacted DCG with the same
-// preorder varint scheme the file format uses, so the LZW ratio
-// measured here matches what the stored file achieves.
-func encodeDCGForAblation(root *wpp.CallNode) []byte {
-	var buf []byte
-	var rec func(n *wpp.CallNode)
-	rec = func(n *wpp.CallNode) {
-		buf = appendUvarint(buf, uint64(n.Fn))
-		buf = appendUvarint(buf, uint64(n.TraceIdx))
-		buf = appendUvarint(buf, uint64(len(n.Children)))
-		prev := 0
-		for i, c := range n.Children {
-			buf = appendUvarint(buf, uint64(n.ChildPos[i]-prev))
-			prev = n.ChildPos[i]
-			rec(c)
-		}
-	}
-	if root != nil {
-		rec(root)
-	}
-	return buf
-}
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }
 
 // AblationTable prints the ablation study.

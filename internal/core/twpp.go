@@ -328,30 +328,6 @@ func (t *TWPP) DynamicGraphStats() (nodes, edges int) {
 	return nodes, edges
 }
 
-// TraceUseCounts walks the dynamic call graph and reports, for
-// function fn, how many invocations used each unique trace (indexed
-// like Funcs[fn].Traces). Ranking unique traces by these counts yields
-// the function's hot paths.
-func (t *TWPP) TraceUseCounts(fn cfg.FuncID) []int {
-	if int(fn) >= len(t.Funcs) || fn < 0 {
-		return nil
-	}
-	counts := make([]int, len(t.Funcs[fn].Traces))
-	var rec func(n *wpp.CallNode)
-	rec = func(n *wpp.CallNode) {
-		if n.Fn == fn && n.TraceIdx < len(counts) {
-			counts[n.TraceIdx]++
-		}
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	if t.Root != nil {
-		rec(t.Root)
-	}
-	return counts
-}
-
 // SortedBlockIDs returns the block ids present in the trace, ascending
 // (a convenience for deterministic display).
 func (t *Trace) SortedBlockIDs() []cfg.BlockID {

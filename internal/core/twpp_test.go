@@ -213,22 +213,3 @@ func TestSortedBlockIDs(t *testing.T) {
 		t.Errorf("SortedBlockIDs = %v", got)
 	}
 }
-
-func TestTraceUseCounts(t *testing.T) {
-	_, _, tw := pipeline()
-	counts := tw.TraceUseCounts(1)
-	// f's five calls split 3/2 between its two unique traces.
-	if len(counts) != 2 || counts[0]+counts[1] != 5 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if counts[0] != 3 || counts[1] != 2 {
-		t.Errorf("counts = %v, want [3 2]", counts)
-	}
-	if tw.TraceUseCounts(99) != nil {
-		t.Error("out-of-range function: want nil")
-	}
-	main := tw.TraceUseCounts(0)
-	if len(main) != 1 || main[0] != 1 {
-		t.Errorf("main counts = %v", main)
-	}
-}

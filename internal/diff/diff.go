@@ -141,23 +141,16 @@ func TraceIdentity(ft *core.FunctionTWPP, idx int) (key string, expLen int, err 
 		}
 		dict = ft.Dicts[di]
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	hash := func(b cfg.BlockID) {
-		h ^= uint64(uint32(b))
-		h *= prime64
-		expLen++
-	}
+	h := wpp.HashStart
 	for _, id := range path {
 		if chain, ok := dict[id]; ok {
 			for _, b := range chain {
-				hash(b)
+				h = wpp.Mix(h, uint32(b))
 			}
+			expLen += len(chain)
 		} else {
-			hash(id)
+			h = wpp.Mix(h, uint32(id))
+			expLen++
 		}
 	}
 	return fmt.Sprintf("%016x", h), expLen, nil

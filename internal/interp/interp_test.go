@@ -266,9 +266,9 @@ func TestTracedExecution(t *testing.T) {
 	if w.NumCalls() != 6 { // main + 5 calls to f
 		t.Errorf("NumCalls = %d, want 6", w.NumCalls())
 	}
-	counts := w.CallsPerFunc()
+	counts := callsPerFunc(w)
 	if counts[0] != 1 || counts[1] != 5 {
-		t.Errorf("CallsPerFunc = %v", counts)
+		t.Errorf("calls per function = %v", counts)
 	}
 	// The trace block count matches the interpreter's step count.
 	if w.NumBlocks() != res.Steps {
@@ -298,11 +298,7 @@ func TestTracedExecution(t *testing.T) {
 		}
 	})
 	// The linear form must be parseable back.
-	w2, err := trace.FromLinear(w.Linear(), names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trace.Equal(w, w2) {
+	if !trace.Equal(w, rebuild(t, w)) {
 		t.Error("traced WPP did not round trip through Linear")
 	}
 }

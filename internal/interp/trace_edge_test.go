@@ -9,6 +9,28 @@ import (
 	"twpp/internal/trace"
 )
 
+// rebuild parses w's linear symbol stream back into a WPP through a
+// trace.Demux feeding a trace.Builder.
+func rebuild(t *testing.T, w *trace.RawWPP) *trace.RawWPP {
+	t.Helper()
+	b := trace.NewBuilder(w.FuncNames)
+	d := &trace.Demux{Sink: b}
+	if err := d.Feed(w.Linear()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Finish()
+}
+
+// callsPerFunc counts w's invocations per function id.
+func callsPerFunc(w *trace.RawWPP) map[cfg.FuncID]int {
+	out := make(map[cfg.FuncID]int)
+	w.Walk(func(n *trace.CallNode) { out[n.Fn]++ })
+	return out
+}
+
 // traceOf runs src and returns the built WPP.
 func traceOf(t *testing.T, src string, input []int64) (*trace.RawWPP, *cfg.Program) {
 	t.Helper()
@@ -66,11 +88,7 @@ func check(v) { return v; }
 		t.Errorf("condition calls = %v", eff.Calls)
 	}
 	// Full reconstruction still holds.
-	back, err := trace.FromLinear(w.Linear(), w.FuncNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trace.Equal(w, back) {
+	if !trace.Equal(w, rebuild(t, w)) {
 		t.Error("round trip failed")
 	}
 }
@@ -117,10 +135,10 @@ func c(n) { return n; }
 	if depth != 3 {
 		t.Errorf("DCG depth = %d, want 3", depth)
 	}
-	counts := w.CallsPerFunc()
+	counts := callsPerFunc(w)
 	want := map[cfg.FuncID]int{0: 1, 1: 1, 2: 1, 3: 1}
 	if !reflect.DeepEqual(counts, want) {
-		t.Errorf("CallsPerFunc = %v", counts)
+		t.Errorf("calls per function = %v", counts)
 	}
 }
 
@@ -135,7 +153,7 @@ func fact(n) {
 }
 `
 	w, g := traceOf(t, src, nil)
-	counts := w.CallsPerFunc()
+	counts := callsPerFunc(w)
 	factID := cfg.FuncID(g.Src.Func("fact").Index)
 	if counts[factID] != 4 {
 		t.Errorf("fact called %d times, want 4", counts[factID])

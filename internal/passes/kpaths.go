@@ -23,6 +23,7 @@ import (
 	"twpp/internal/cfg"
 	"twpp/internal/cli"
 	"twpp/internal/core"
+	"twpp/internal/encoding"
 	"twpp/internal/wpp"
 	"twpp/internal/wppfile"
 )
@@ -196,7 +197,9 @@ func iterations(ctx context.Context, ft *core.FunctionTWPP, i int) ([][]int, err
 
 // traceUses counts, per unique trace of fn, how many invocations used
 // it, by walking the dynamic call graph iteratively (DeepRecursion
-// profiles produce DCGs thousands of nodes deep, so no recursion).
+// profiles produce DCGs thousands of nodes deep, so no recursion). A
+// call of fn that names a trace outside fn's n traces is corrupt, as
+// it is to ReadAll and diff.
 func traceUses(c wppfile.Container, fn cfg.FuncID, n int) ([]int, error) {
 	uses := make([]int, n)
 	root, err := c.ReadDCG()
@@ -210,7 +213,11 @@ func traceUses(c wppfile.Container, fn cfg.FuncID, n int) ([]int, error) {
 		if node == nil {
 			continue
 		}
-		if node.Fn == fn && node.TraceIdx >= 0 && node.TraceIdx < n {
+		if node.Fn == fn {
+			if node.TraceIdx < 0 || node.TraceIdx >= n {
+				return nil, encoding.Errf(encoding.CodeCorrupt, 0,
+					"kpaths: DCG node references function %d trace %d, not in container", fn, node.TraceIdx)
+			}
 			uses[node.TraceIdx]++
 		}
 		stack = append(stack, node.Children...)

@@ -7,9 +7,12 @@ import (
 	"testing"
 
 	"twpp/internal/cfg"
+	"twpp/internal/cli"
 	"twpp/internal/core"
 	"twpp/internal/encoding"
+	"twpp/internal/trace"
 	"twpp/internal/wpp"
+	"twpp/internal/wppfile"
 )
 
 // Regression: the original windowKey framed iterations with a 0xff
@@ -106,5 +109,40 @@ func TestIterationsPollsContext(t *testing.T) {
 	}
 	if got, err := iterations(context.Background(), ft, 0); err != nil || len(got) != 16 {
 		t.Fatalf("iterations = %d windows, %v; want 16 iterations, nil", len(got), err)
+	}
+}
+
+// A call graph node that names a trace its function lacks is corrupt,
+// to kpaths as to ReadAll: the call must not be skipped. The container
+// is a valid v2 image: main calls f three times along blocks 2,3,5,
+// and the second call's trace index is set to 1 (f has one unique
+// trace) before encoding, so every checksum holds.
+func TestKPathsRejectsMissingTrace(t *testing.T) {
+	b := trace.NewBuilder([]string{"main", "f"})
+	b.EnterCall(0)
+	for range 3 {
+		b.Blocks([]cfg.BlockID{1})
+		b.EnterCall(1)
+		b.Blocks([]cfg.BlockID{2, 3, 5})
+		b.ExitCall()
+	}
+	b.ExitCall()
+	c, _ := wpp.Compact(b.Finish())
+	tw := core.FromCompacted(c)
+	tw.Root.Children[1].TraceIdx = 1
+	data, err := wppfile.EncodeCompacted(tw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := wppfile.OpenCompactedBytes(data, wppfile.OpenOptions{VerifyChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAll(); cli.ExitCode(err) != cli.ExitCorrupt {
+		t.Fatalf("ReadAll: %v, want a corrupt error", err)
+	}
+	res, err := Run(context.Background(), "kpaths", f, Params{Values: map[string]string{"func": "1"}})
+	if cli.ExitCode(err) != cli.ExitCorrupt {
+		t.Fatalf("kpaths = %+v, %v; want a corrupt error", res, err)
 	}
 }

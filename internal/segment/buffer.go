@@ -1,8 +1,8 @@
 // Buffer: the pooled arena for Set.ExtractFunctionInto. It holds one
 // wppfile.ExtractBuffer per segment a function may span, plus the
-// merged-result slices and flat open-addressing dedup tables, so the
+// merged-result slices and the two wpp.Table dedup tables, so the
 // spanning-merge path performs zero heap allocations once warm — the
-// same contract PR 6 established for single-file pooled extraction.
+// same contract single-file pooled extraction keeps.
 
 package segment
 
@@ -36,8 +36,8 @@ type Buffer struct {
 	dictHash  []uint64
 	dictRemap []int
 
-	traceTab dedupTable
-	dictTab  dedupTable
+	traceTab wpp.Table
+	dictTab  wpp.Table
 
 	ft core.FunctionTWPP
 }
@@ -83,76 +83,17 @@ func (b *Buffer) partResults(n int) []*core.FunctionTWPP {
 	return b.results[:n]
 }
 
-// dedupTable is a flat open-addressing index from content hash to
-// candidate position in a caller-owned list. It stores position+1 in
-// each slot (0 = empty) and resolves collisions by linear probing with
-// a caller-supplied equality check, so resetting is a memclr — no map,
-// no per-entry allocation.
-type dedupTable struct {
-	slots []int32
-	mask  uint64
-}
-
-// reset sizes the table for up to n insertions and clears it.
-func (d *dedupTable) reset(n int) {
-	need := 8
-	for need < 2*n {
-		need <<= 1
-	}
-	if cap(d.slots) < need {
-		d.slots = make([]int32, need)
-	} else {
-		d.slots = d.slots[:need]
-		clear(d.slots)
-	}
-	d.mask = uint64(need - 1)
-}
-
-// find probes for a candidate with hash h satisfying same. It returns
-// the candidate position, or the slot index to pass to insert when
-// absent.
-func (d *dedupTable) find(h uint64, same func(pos int) bool) (pos int, slot int, ok bool) {
-	i := h & d.mask
-	for {
-		v := d.slots[i]
-		if v == 0 {
-			return 0, int(i), false
-		}
-		if same(int(v - 1)) {
-			return int(v - 1), 0, true
-		}
-		i = (i + 1) & d.mask
-	}
-}
-
-// insert records candidate position pos at the slot find returned.
-func (d *dedupTable) insert(slot, pos int) { d.slots[slot] = int32(pos + 1) }
-
-// FNV-1a, matching internal/wpp's interner constants.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvMix(h, x uint64) uint64 {
-	h ^= x & 0xffffffff
-	h *= fnvPrime64
-	h ^= x >> 32
-	h *= fnvPrime64
-	return h
-}
-
 // hashTWPPTrace hashes a decoded TWPP trace's full content: length,
 // block ids, and every timestamp run.
 func hashTWPPTrace(tr *core.Trace) uint64 {
-	h := fnvMix(fnvMix(uint64(fnvOffset64), uint64(tr.Len)), uint64(len(tr.Blocks)))
+	h := wpp.Mix64(wpp.Mix64(wpp.HashStart, uint64(tr.Len)), uint64(len(tr.Blocks)))
 	for _, bt := range tr.Blocks {
-		h = fnvMix(h, uint64(bt.Block))
-		h = fnvMix(h, uint64(len(bt.Times)))
+		h = wpp.Mix64(h, uint64(bt.Block))
+		h = wpp.Mix64(h, uint64(len(bt.Times)))
 		for _, e := range bt.Times {
-			h = fnvMix(h, uint64(e.Lo))
-			h = fnvMix(h, uint64(e.Hi))
-			h = fnvMix(h, uint64(e.Step))
+			h = wpp.Mix64(h, uint64(e.Lo))
+			h = wpp.Mix64(h, uint64(e.Hi))
+			h = wpp.Mix64(h, uint64(e.Step))
 		}
 	}
 	return h
@@ -175,24 +116,6 @@ func twppTracesEqual(a, b *core.Trace) bool {
 		}
 	}
 	return true
-}
-
-// hashDictUnordered hashes a dictionary without sorting its heads:
-// per-chain hashes combine commutatively (sum), so map iteration order
-// does not matter and the hot read path stays allocation-free (unlike
-// wpp's canonical dictionary hash, which sorts heads into a fresh
-// slice).
-func hashDictUnordered(d wpp.Dictionary) uint64 {
-	var sum uint64
-	for head, chain := range d {
-		h := fnvMix(uint64(fnvOffset64), uint64(head))
-		h = fnvMix(h, uint64(len(chain)))
-		for _, b := range chain {
-			h = fnvMix(h, uint64(b))
-		}
-		sum += h
-	}
-	return fnvMix(sum, uint64(len(d)))
 }
 
 // mergeParts merges a function's per-segment extraction results in
@@ -223,8 +146,8 @@ func mergeParts(fn cfg.FuncID, parts []*core.FunctionTWPP, disjoint bool, buf *B
 		dicts     []wpp.Dictionary
 		dictHash  []uint64
 		dictRemap []int
-		traceTab  *dedupTable
-		dictTab   *dedupTable
+		traceTab  *wpp.Table
+		dictTab   *wpp.Table
 	)
 	if buf != nil {
 		ptrs = buf.ptrs[:0]
@@ -237,24 +160,24 @@ func mergeParts(fn cfg.FuncID, parts []*core.FunctionTWPP, disjoint bool, buf *B
 		ptrs = make([]*core.Trace, 0, ntr)
 		dictOf = make([]int, 0, ntr)
 		dicts = make([]wpp.Dictionary, 0, nd)
-		traceTab, dictTab = new(dedupTable), new(dedupTable)
+		traceTab, dictTab = new(wpp.Table), new(wpp.Table)
 	}
 	if !disjoint {
-		traceTab.reset(ntr)
+		traceTab.Reset(ntr)
 	}
-	dictTab.reset(nd)
+	dictTab.Reset(nd)
 
 	// mergeDict interns one part dictionary (hash dh) into the merged
 	// list, returning its merged index. Part dictionary lists are in
 	// first-use order, so interning them part by part preserves the
 	// merged first-use order byte-for-byte.
 	mergeDict := func(d wpp.Dictionary, dh uint64) int {
-		di, dslot, dok := dictTab.find(dh, func(pos int) bool {
+		di, ok := dictTab.Find(dh, func(pos int) bool {
 			return wpp.DictsEqual(dicts[pos], d)
 		})
-		if !dok {
+		if !ok {
 			di = len(dicts)
-			dictTab.insert(dslot, di)
+			dictTab.Insert(dh, di)
 			dicts = append(dicts, d)
 		}
 		return di
@@ -267,7 +190,7 @@ func mergeParts(fn cfg.FuncID, parts []*core.FunctionTWPP, disjoint bool, buf *B
 			// window split was re-emitted in the continuation window.
 			dictRemap = dictRemap[:0]
 			for _, d := range p.Dicts {
-				dictRemap = append(dictRemap, mergeDict(d, hashDictUnordered(d)))
+				dictRemap = append(dictRemap, mergeDict(d, wpp.HashDict(d)))
 			}
 			ptrs = append(ptrs, p.Traces...)
 			for _, pd := range p.DictOf {
@@ -278,7 +201,7 @@ func mergeParts(fn cfg.FuncID, parts []*core.FunctionTWPP, disjoint bool, buf *B
 		// Hash each part dictionary once, not once per trace.
 		dictHash = dictHash[:0]
 		for _, d := range p.Dicts {
-			dictHash = append(dictHash, hashDictUnordered(d))
+			dictHash = append(dictHash, wpp.HashDict(d))
 		}
 		for i, tr := range p.Traces {
 			d := p.Dicts[p.DictOf[i]]
@@ -287,11 +210,11 @@ func mergeParts(fn cfg.FuncID, parts []*core.FunctionTWPP, disjoint bool, buf *B
 			// pair: distinct original paths can compact to equal trace
 			// bytes under different dictionaries, so keep-first dedup
 			// must compare both.
-			h := fnvMix(hashTWPPTrace(tr), dh)
-			if _, slot, ok := traceTab.find(h, func(pos int) bool {
+			h := wpp.Mix64(hashTWPPTrace(tr), dh)
+			if _, ok := traceTab.Find(h, func(pos int) bool {
 				return twppTracesEqual(ptrs[pos], tr) && wpp.DictsEqual(dicts[dictOf[pos]], d)
 			}); !ok {
-				traceTab.insert(slot, len(ptrs))
+				traceTab.Insert(h, len(ptrs))
 				ptrs = append(ptrs, tr)
 				dictOf = append(dictOf, mergeDict(d, dh))
 			}

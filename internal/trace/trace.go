@@ -119,11 +119,15 @@ func (w *RawWPP) NumBlocks() int {
 	return n
 }
 
-// CallsPerFunc counts invocations per function id.
-func (w *RawWPP) CallsPerFunc() map[cfg.FuncID]int {
-	out := make(map[cfg.FuncID]int)
-	w.Walk(func(n *CallNode) { out[n.Fn]++ })
-	return out
+// RawSizes reports the byte sizes of the two components of the
+// uncompacted WPP as Table 1 of the paper accounts them: the DCG at
+// one 32-bit word per node field (function id, child count, and one
+// word per child position — the natural in-memory form) and the
+// traces at one 32-bit word per executed block.
+func (w *RawWPP) RawSizes() (dcgBytes, traceBytes int) {
+	words := 0
+	w.Walk(func(n *CallNode) { words += 2 + len(n.Children) })
+	return 4 * words, 4 * w.NumBlocks()
 }
 
 // Walk visits every call node in preorder.
@@ -161,23 +165,6 @@ func (w *RawWPP) Linear() []uint32 {
 	c := &symbolCollector{}
 	w.Replay(c)
 	return c.out
-}
-
-// FromLinear parses a linear WPP symbol stream back into the
-// DCG-plus-traces form; it is the inverse of Linear and is used both by
-// the uncompacted file reader and by round-trip tests. Malformed
-// streams — unbalanced calls, blocks outside any call, multiple or
-// missing root calls — are reported as errors.
-func FromLinear(stream []uint32, funcNames []string) (*RawWPP, error) {
-	b := NewBuilder(funcNames)
-	d := &Demux{Sink: b}
-	if err := d.Feed(stream...); err != nil {
-		return nil, err
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	return b.Finish(), nil
 }
 
 // Equal reports whether two WPPs describe the same execution.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -51,9 +50,9 @@ func TestBuilderStructure(t *testing.T) {
 	if got := w.Traces[w.Root.Trace]; !reflect.DeepEqual(got, []cfg.BlockID{1, 2, 3, 4, 2, 3, 4, 6}) {
 		t.Errorf("main trace = %v", got)
 	}
-	counts := w.CallsPerFunc()
+	counts := callsPerFunc(w)
 	if counts[0] != 1 || counts[1] != 2 {
-		t.Errorf("CallsPerFunc = %v", counts)
+		t.Errorf("calls per function = %v", counts)
 	}
 	if w.NumBlocks() != 8+7+7 {
 		t.Errorf("NumBlocks = %d, want 22", w.NumBlocks())
@@ -75,35 +74,9 @@ func TestLinearInterleaving(t *testing.T) {
 	}
 }
 
-func TestFromLinearRoundTrip(t *testing.T) {
-	w := buildSample()
-	lin := w.Linear()
-	w2, err := FromLinear(lin, w.FuncNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(w, w2) {
-		t.Error("FromLinear(Linear(w)) != w")
-	}
-}
-
-func TestFromLinearErrors(t *testing.T) {
-	cases := [][]uint32{
-		{sequitur.ExitMarker},
-		{5},
-		{sequitur.EnterMarker(0), 1},
-		{sequitur.EnterMarker(0), sequitur.ExitMarker, 7},
-	}
-	for i, stream := range cases {
-		if _, err := FromLinear(stream, nil); err == nil {
-			t.Errorf("case %d: want error", i)
-		}
-	}
-}
-
 func TestCallAtTraceBoundaries(t *testing.T) {
 	// A call before any block and a call after the last block must
-	// round-trip through Linear/FromLinear.
+	// round-trip through Linear and a Demux.
 	b := NewBuilder([]string{"main", "g"})
 	b.EnterCall(0)
 	b.EnterCall(1) // call before any block of main
@@ -115,55 +88,11 @@ func TestCallAtTraceBoundaries(t *testing.T) {
 	b.ExitCall()
 	b.ExitCall()
 	w := b.Finish()
-	w2, err := FromLinear(w.Linear(), w.FuncNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(w, w2) {
+	if !Equal(w, rebuild(t, w)) {
 		t.Error("boundary-call WPP did not round trip")
 	}
 	if !reflect.DeepEqual(w.Root.ChildPos, []int{0, 1}) {
 		t.Errorf("ChildPos = %v, want [0 1]", w.Root.ChildPos)
-	}
-}
-
-func TestDCGEncodeDecode(t *testing.T) {
-	w := buildSample()
-	data := w.EncodeDCG()
-	w2, err := DecodeDCG(data, w.FuncNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Structure must match (traces are stored separately).
-	var shape func(n *CallNode) []int
-	shape = func(n *CallNode) []int {
-		out := []int{int(n.Fn), n.Trace, len(n.Children)}
-		out = append(out, n.ChildPos...)
-		for _, c := range n.Children {
-			out = append(out, shape(c)...)
-		}
-		return out
-	}
-	if !reflect.DeepEqual(shape(w.Root), shape(w2.Root)) {
-		t.Errorf("DCG round trip mismatch:\n%v\n%v", shape(w.Root), shape(w2.Root))
-	}
-	if len(w2.Traces) != w.NumCalls() {
-		t.Errorf("decoded trace count = %d, want %d", len(w2.Traces), w.NumCalls())
-	}
-}
-
-func TestDCGDecodeErrors(t *testing.T) {
-	w := buildSample()
-	data := w.EncodeDCG()
-	if _, err := DecodeDCG(data[:len(data)-1], nil); err == nil {
-		t.Error("truncated DCG: want error")
-	}
-	if _, err := DecodeDCG(append(bytes.Clone(data), 0, 0), nil); err == nil {
-		t.Error("trailing garbage: want error")
-	}
-	// A huge child count must not allocate unboundedly.
-	if _, err := DecodeDCG([]byte{0, 0xff, 0xff, 0xff, 0x7f}, nil); err == nil {
-		t.Error("absurd child count: want error")
 	}
 }
 
@@ -213,4 +142,26 @@ func TestFuncName(t *testing.T) {
 	if w.FuncName(99) != "func99" {
 		t.Errorf("FuncName(99) = %q", w.FuncName(99))
 	}
+}
+
+// rebuild parses w's linear symbol stream back into a WPP through a
+// Demux feeding a Builder.
+func rebuild(t *testing.T, w *RawWPP) *RawWPP {
+	t.Helper()
+	b := NewBuilder(w.FuncNames)
+	d := &Demux{Sink: b}
+	if err := d.Feed(w.Linear()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Finish()
+}
+
+// callsPerFunc counts w's invocations per function id.
+func callsPerFunc(w *RawWPP) map[cfg.FuncID]int {
+	out := make(map[cfg.FuncID]int)
+	w.Walk(func(n *CallNode) { out[n.Fn]++ })
+	return out
 }

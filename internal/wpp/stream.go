@@ -96,28 +96,15 @@ func (b *dbbBatch) run() {
 		batchHook()
 	}
 	for _, u := range b.traces {
-		u.comp, u.dict = compactTrace(u.orig)
-		u.dictHash = hashDict(u.dict)
+		u.compact()
 	}
 }
 
-// uniqueTrace is one interned unique trace: the original block
-// sequence (kept for verified-equality lookups), the earliest
-// EnterCall sequence that produced it, and — written by its batch,
-// read only once FinishCtx has waited for it — its DBB-compacted form,
-// dictionary and dictionary hash.
-type uniqueTrace struct {
-	orig     PathTrace
-	firstSeq int
-	comp     PathTrace
-	dict     Dictionary
-	dictHash uint64
-}
-
-// streamFunc is the per-function intern state.
+// streamFunc is the per-function intern state. A unique trace's
+// compacted form is written by its batch and read only once FinishCtx
+// has waited for it.
 type streamFunc struct {
-	in        *Interner
-	uniq      []*uniqueTrace
+	traceSet
 	callCount int
 }
 
@@ -143,7 +130,7 @@ func NewStreamCompactor(funcNames []string) *StreamCompactor {
 // EnterCall records the start of an invocation of f.
 func (s *StreamCompactor) EnterCall(f cfg.FuncID) {
 	for int(f) >= len(s.funcs) {
-		s.funcs = append(s.funcs, streamFunc{in: newInterner()})
+		s.funcs = append(s.funcs, streamFunc{})
 	}
 	n := &CallNode{Fn: f}
 	if len(s.stack) == 0 {
@@ -186,18 +173,13 @@ func (s *StreamCompactor) ExitCall() {
 	fr := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
 	fs := &s.funcs[fr.node.Fn]
-	h := hashTrace(fr.tr)
-	idx, ok := fs.in.lookup(h, func(i int) bool { return tracesEqual(fs.uniq[i].orig, fr.tr) })
-	if !ok {
-		idx = len(fs.uniq)
-		u := &uniqueTrace{orig: fr.tr, firstSeq: fr.seq}
-		fs.uniq = append(fs.uniq, u)
-		fs.in.insert(h, idx)
+	idx, added := fs.intern(fr.tr)
+	u := fs.uniq[idx]
+	if added {
+		u.firstSeq = fr.seq
 		s.enqueue(u)
 	} else {
-		if u := fs.uniq[idx]; fr.seq < u.firstSeq {
-			u.firstSeq = fr.seq
-		}
+		u.firstSeq = min(u.firstSeq, fr.seq)
 		if cap(fr.tr) > 0 {
 			s.spare = append(s.spare, fr.tr)
 		}
@@ -312,35 +294,13 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 			return fs.uniq[order[i]].firstSeq < fs.uniq[order[j]].firstSeq
 		})
 		remap := make([]int, n)
+		sorted := make([]*uniqueTrace, n)
 		for final, prov := range order {
 			remap[prov] = final
+			sorted[final] = fs.uniq[prov]
 		}
 		remaps[f] = remap
-
-		ft.Traces = make([]PathTrace, 0, n)
-		ft.OrigLen = make([]int, 0, n)
-		ft.DictOf = make([]int, 0, n)
-		dictSeen := newInterner()
-		for _, prov := range order {
-			u := fs.uniq[prov]
-			di, ok := dictSeen.lookup(u.dictHash, func(i int) bool { return dictsEqual(ft.Dicts[i], u.dict) })
-			if !ok {
-				di = len(ft.Dicts)
-				dictSeen.insert(u.dictHash, di)
-				ft.Dicts = append(ft.Dicts, u.dict)
-			}
-			ft.Traces = append(ft.Traces, u.comp)
-			ft.OrigLen = append(ft.OrigLen, len(u.orig))
-			ft.DictOf = append(ft.DictOf, di)
-			stats.AfterRedundancy += 4 * len(u.orig)
-			stats.UniqueTraces++
-		}
-		for _, tr := range ft.Traces {
-			stats.AfterDictionary += 4 * len(tr)
-		}
-		for _, d := range ft.Dicts {
-			stats.DictionaryBytes += 4 * d.Words()
-		}
+		stats.add(assemble(ft, sorted))
 	}
 	stats.AfterDictionary += stats.DictionaryBytes
 

@@ -3,6 +3,7 @@ package wpp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"twpp/internal/cfg"
@@ -83,10 +84,10 @@ func TestStreamCompactorFirstOccurrenceOrder(t *testing.T) {
 	if len(a.Traces) != 2 {
 		t.Fatalf("a unique traces = %d, want 2", len(a.Traces))
 	}
-	if got := a.Expand(0); !tracesEqual(got, PathTrace{5, 9}) {
+	if got := a.Expand(0); !slices.Equal(got, PathTrace{5, 9}) {
 		t.Errorf("trace 0 expands to %v, want [5 9] (outer call's trace)", got)
 	}
-	if got := a.Expand(1); !tracesEqual(got, PathTrace{6, 9}) {
+	if got := a.Expand(1); !slices.Equal(got, PathTrace{6, 9}) {
 		t.Errorf("trace 1 expands to %v, want [6 9]", got)
 	}
 	if a.CallCount != 3 {

@@ -27,9 +27,7 @@ import (
 
 // PathTrace is a block id sequence: either an original per-call trace
 // or a dictionary-compacted one. Dedup of traces and dictionaries is
-// by 64-bit content hash with verified equality (see intern.go); the
-// earlier string-key scheme allocated per call and was the pipeline's
-// hottest allocation.
+// by 64-bit content hash with verified equality (see intern.go).
 type PathTrace []cfg.BlockID
 
 // Dictionary maps a dynamic-basic-block head to the full chain of
@@ -121,6 +119,16 @@ type Stats struct {
 	UniqueTraces int
 	// Calls counts invocations.
 	Calls int
+}
+
+// add accumulates o's sizes and counts into s.
+func (s *Stats) add(o Stats) {
+	s.RawTraceBytes += o.RawTraceBytes
+	s.AfterRedundancy += o.AfterRedundancy
+	s.AfterDictionary += o.AfterDictionary
+	s.DictionaryBytes += o.DictionaryBytes
+	s.UniqueTraces += o.UniqueTraces
+	s.Calls += o.Calls
 }
 
 // Compact runs partitioning, redundancy elimination, and DBB
@@ -215,10 +223,9 @@ func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Comp
 		return nil, Stats{}, ctx.Err()
 	}
 
-	// Stages 2 and 3, per function: deduplicate the function's traces
-	// (interning by hash with verified equality) in preorder, which
-	// keeps unique traces in first-occurrence order; then per unique
-	// trace discover DBBs and compact, and deduplicate dictionaries.
+	// Stages 2 and 3, per function: intern the function's traces in
+	// preorder, which keeps unique traces in first-occurrence order,
+	// then compact each unique trace and assemble the function.
 	// Functions are mutually independent here, so the work fans out
 	// over a bounded pool; each job writes only its own c.Funcs[f]
 	// slot, partial-stats slot and call nodes, and the partials are
@@ -226,55 +233,22 @@ func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Comp
 	// identically to a sequential run.
 	partial := make([]Stats, numFuncs)
 	compactFunc := func(f int) {
-		ft := &c.Funcs[f]
-		ps := &partial[f]
 		fcalls := calls[first[f]:first[f+1]]
-		ft.CallCount = len(fcalls)
-		seen := newInterner()
-		var orig []PathTrace
+		c.Funcs[f].CallCount = len(fcalls)
+		var set traceSet
 		for _, cn := range fcalls {
-			tr := PathTrace(w.Traces[cn.TraceIdx])
-			h := hashTrace(tr)
-			idx, ok := seen.lookup(h, func(i int) bool { return tracesEqual(orig[i], tr) })
-			if !ok {
-				idx = len(orig)
-				seen.insert(h, idx)
-				orig = append(orig, tr)
-			}
-			cn.TraceIdx = idx
+			cn.TraceIdx, _ = set.intern(w.Traces[cn.TraceIdx])
 		}
-		dictSeen := newInterner()
-		for _, tr := range orig {
-			ps.AfterRedundancy += 4 * len(tr)
-			compacted, dict := compactTrace(tr)
-			dh := hashDict(dict)
-			di, ok := dictSeen.lookup(dh, func(i int) bool { return dictsEqual(ft.Dicts[i], dict) })
-			if !ok {
-				di = len(ft.Dicts)
-				dictSeen.insert(dh, di)
-				ft.Dicts = append(ft.Dicts, dict)
-			}
-			ft.Traces = append(ft.Traces, compacted)
-			ft.OrigLen = append(ft.OrigLen, len(tr))
-			ft.DictOf = append(ft.DictOf, di)
-			ps.UniqueTraces++
+		for _, u := range set.uniq {
+			u.compact()
 		}
-		for _, tr := range ft.Traces {
-			ps.AfterDictionary += 4 * len(tr)
-		}
-		for _, d := range ft.Dicts {
-			ps.DictionaryBytes += 4 * d.Words()
-		}
+		partial[f] = assemble(&c.Funcs[f], set.uniq)
 	}
 	if err := RunJobs(ctx, numFuncs, workers, compactFunc); err != nil {
 		return nil, Stats{}, err
 	}
-	for f := range partial {
-		ps := &partial[f]
-		stats.AfterRedundancy += ps.AfterRedundancy
-		stats.AfterDictionary += ps.AfterDictionary
-		stats.DictionaryBytes += ps.DictionaryBytes
-		stats.UniqueTraces += ps.UniqueTraces
+	for _, ps := range partial {
+		stats.add(ps)
 	}
 	stats.AfterDictionary += stats.DictionaryBytes
 	return c, stats, nil

@@ -312,14 +312,28 @@ func TestDictionaryWordsAndIdentity(t *testing.T) {
 	d1 := Dictionary{2: PathTrace{2, 7, 8, 9}}
 	d2 := Dictionary{2: PathTrace{2, 7, 8, 9}}
 	d3 := Dictionary{2: PathTrace{2, 3, 4, 5}}
-	if hashDict(d1) != hashDict(d2) || !dictsEqual(d1, d2) {
+	if HashDict(d1) != HashDict(d2) || !DictsEqual(d1, d2) {
 		t.Error("equal dictionaries have different identities")
 	}
-	if dictsEqual(d1, d3) {
+	if DictsEqual(d1, d3) {
 		t.Error("different dictionaries compare equal")
 	}
-	if hashDict(d1) == hashDict(d3) {
+	if HashDict(d1) == HashDict(d3) {
 		t.Error("different dictionaries share a hash (FNV collision in a 4-word input)")
+	}
+	// A decoded dictionary may hold an empty chain; a head with one is
+	// still a different dictionary from another head with one.
+	if DictsEqual(Dictionary{5: PathTrace{}}, Dictionary{6: PathTrace{}}) {
+		t.Error("dictionaries with different heads compare equal")
+	}
+	// Map iteration order varies from one range loop to the next, so a
+	// hash that depended on it would disagree with itself here.
+	d4 := Dictionary{2: PathTrace{2, 7}, 30: PathTrace{30, 31, 32}, 40: PathTrace{40, 2}}
+	want := HashDict(d4)
+	for range 20 {
+		if HashDict(d4) != want {
+			t.Fatal("a three-chain dictionary's hash depends on map order")
+		}
 	}
 	if d1.Words() != 6 { // head + len + 4 chain ids
 		t.Errorf("Words = %d, want 6", d1.Words())

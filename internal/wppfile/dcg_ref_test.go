@@ -100,7 +100,7 @@ func FuzzDecodeDCG(f *testing.F) {
 		nestedWPP(6),
 	} {
 		c, _ := wpp.Compact(w)
-		enc := encodeDCG(core.FromCompacted(c).Root)
+		enc := EncodeDCG(core.FromCompacted(c).Root)
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 		f.Add(append(append([]byte(nil), enc...), 0))

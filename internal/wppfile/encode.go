@@ -129,7 +129,7 @@ func EncodeCompactedFormat(t *core.TWPP, workers, format int) ([]byte, error) {
 		parts[i] = nil
 	}
 
-	dcg := lzw.Compress(encodeDCG(t.Root))
+	dcg := lzw.Compress(EncodeDCG(t.Root))
 	return assembleImage(t.FuncNames, index, dcg, blocks, format), nil
 }
 
@@ -281,9 +281,10 @@ func TraceRecordLen(dictIdx int, tr *core.Trace) int {
 	return n
 }
 
-// encodeDCG serializes the compacted DCG (function, unique trace
-// index, children with positions) in preorder.
-func encodeDCG(root *wpp.CallNode) []byte {
+// EncodeDCG serializes the compacted DCG (function, unique trace
+// index, children with positions) in preorder: the bytes a container
+// stores LZW-compressed.
+func EncodeDCG(root *wpp.CallNode) []byte {
 	var buf []byte
 	var rec func(n *wpp.CallNode)
 	rec = func(n *wpp.CallNode) {
