@@ -65,13 +65,14 @@ cover:
 
 # Quick benchmark sweep of the parallel pipeline and concurrent
 # extraction (full tables: `go run ./cmd/twpp-bench`), plus the two
-# compaction kernels — DBB discovery and timestamp inversion — over
-# one profile's unique traces, with allocations, and the read path's
+# compaction kernels — DBB discovery and timestamp inversion — and the
+# read side's dynamic-CFG kernel over one profile's unique traces,
+# with allocations, and the read path's
 # layers — DCG decode, owned block decode, whole-container ReadAll —
 # on one profile, with allocations.
 bench:
 	$(GO) test -run xxx -bench 'ParallelCompact|ConcurrentExtract|Table' -benchtime 1x .
-	$(GO) test -run xxx -bench 'CompactTrace|FromPath' -benchtime 100x ./internal/wpp/ ./internal/core/
+	$(GO) test -run xxx -bench 'CompactTrace|FromPath|DynamicGraph' -benchtime 100x ./internal/wpp/ ./internal/core/
 	$(GO) test -run xxx -bench 'ReadAll' -benchmem -benchtime 50x ./internal/wppfile/
 
 # Peak-heap comparison of the batch and streaming compaction pipelines
@@ -143,10 +144,10 @@ passes-test:
 # Run the fuzz targets on their seed corpora only (no fuzzing time;
 # the seeded cases run as ordinary tests): the compaction determinism
 # targets at the root, the event demux's block runs against
-# symbol-at-a-time feeding, the two compaction kernels and the slab DCG
-# decoder against their reference oracles, the content table against a
-# map, the hostile-input decode
-# targets in wppfile and encoding, the segmented-container manifest
+# symbol-at-a-time feeding, the two compaction kernels, the dynamic-CFG
+# kernel and the slab DCG decoder against their reference oracles, the
+# content table against a map, the hostile-input decode targets in
+# wppfile and encoding, the segmented-container manifest
 # decoder, the ingest wire frame, the diff engine, and the
 # analysis-pass dispatcher.
 fuzz-seed:
@@ -154,6 +155,7 @@ fuzz-seed:
 	$(GO) test -run 'FuzzDemuxRuns' ./internal/trace/
 	$(GO) test -run 'FuzzCompactTrace|FuzzTable' ./internal/wpp/
 	$(GO) test -run 'FuzzFromPath' ./internal/core/
+	$(GO) test -run 'FuzzDynamicGraph' ./internal/dataflow/
 	$(GO) test -run 'FuzzDecodeCompacted|FuzzStreamRoundTrip|FuzzDecodeDCG' ./internal/wppfile/
 	$(GO) test -run 'FuzzUvarintBatchParity' ./internal/encoding/
 	$(GO) test -run 'FuzzManifestDecode' ./internal/segment/

@@ -107,11 +107,11 @@ func TestGoldenEndpoints(t *testing.T) {
 	for _, tc := range []struct {
 		golden, path string
 	}{
-		{"funcs.golden", "/funcs"},
-		{"trace.golden", "/trace/1"},
-		{"stats.golden", "/stats/1"},
-		{"cfg.golden", "/cfg/1"},
-		{"query.golden", "/query?func=1&block=2&gen=1&kill=9"},
+		{"funcs.golden", "/v1/t/funcs"},
+		{"trace.golden", "/v1/t/trace/1"},
+		{"stats.golden", "/v1/t/stats/1"},
+		{"cfg.golden", "/v1/t/cfg/1"},
+		{"query.golden", "/v1/t/query?func=1&block=2&gen=1&kill=9"},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			status, body := serveGet(t, h, tc.path)
@@ -133,7 +133,7 @@ func TestMetricsShape(t *testing.T) {
 	}
 	defer s.Close()
 	h := s.Handler()
-	for _, warm := range []string{"/funcs", "/trace/1", "/trace/99", "/query?func=1&block=2&gen=1"} {
+	for _, warm := range []string{"/v1/t/funcs", "/v1/t/trace/1", "/v1/t/trace/99", "/v1/t/query?func=1&block=2&gen=1"} {
 		serveGet(t, h, warm)
 	}
 	status, body := serveGet(t, h, "/metrics")
@@ -230,7 +230,7 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// Multiple -in files mount under their base names, first is default.
+// Multiple -in files mount under their base names.
 func TestMultiMount(t *testing.T) {
 	dir := t.TempDir()
 	a := writeTWPP(t, dir)
@@ -253,9 +253,6 @@ func TestMultiMount(t *testing.T) {
 	defer s.Close()
 	if got := s.Mounts(); len(got) != 2 || got[0] != "t" || got[1] != "second" {
 		t.Fatalf("Mounts() = %v, want [t second]", got)
-	}
-	if status, _ := serveGet(t, s.Handler(), "/funcs?file=second"); status != http.StatusOK {
-		t.Errorf("/funcs?file=second: status %d", status)
 	}
 	h := s.Handler()
 	// The /v1/{mount}/... namespace routes to the named mount; an
@@ -297,7 +294,7 @@ func TestMmapAndVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	_, want := serveGet(t, ref.Handler(), "/trace/1")
+	_, want := serveGet(t, ref.Handler(), "/v1/t/trace/1")
 
 	mc := testConfig(p, 8)
 	mc.mmap = true
@@ -307,7 +304,7 @@ func TestMmapAndVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if status, got := serveGet(t, s.Handler(), "/trace/1"); status != http.StatusOK || !bytes.Equal(got, want) {
+	if status, got := serveGet(t, s.Handler(), "/v1/t/trace/1"); status != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("mmap /trace/1: status %d, body parity %v", status, bytes.Equal(got, want))
 	}
 

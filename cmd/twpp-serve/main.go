@@ -15,22 +15,21 @@
 //	           [-max-inflight 64] [-timeout 5s] [-mmap] [-verify]
 //	           [-quiet]
 //
-// Endpoints (all GET; select a non-default mount with ?file=name or
-// the /v1/{mount}/... prefix):
+// Endpoints (GET unless marked; query routes name their mount):
 //
-//	/mounts               the catalog: names, formats, section sizes
-//	/funcs                functions, hottest first
-//	/trace/{fn}[?trace=N] one function's TWPP traces (timestamp maps)
-//	/stats/{fn}           per-function stats summary
-//	/cfg/{fn}?trace=N     timestamp-annotated dynamic CFG
-//	/query?func=F&block=B&gen=ids&kill=ids[&trace=N]
-//	                      profile-limited GEN-KILL query
-//	/v1/{mount}/...       any of the five query routes, mount in path
-//	/v1/{mount}/refresh   (POST) re-read a segmented mount's manifest
-//	/refresh              (POST) refresh every mount
-//	/metrics              Prometheus text metrics (incl. per-mount)
-//	/debug/pprof/         runtime profiles
-//	/healthz              liveness
+//	/mounts                     the catalog: names, formats, section sizes
+//	/v1/{mount}/funcs           functions, hottest first
+//	/v1/{mount}/trace/{fn}      one function's TWPP traces [?trace=N]
+//	/v1/{mount}/stats/{fn}      per-function stats summary
+//	/v1/{mount}/cfg/{fn}        timestamp-annotated dynamic CFG [?trace=N]
+//	/v1/{mount}/query?func=F&block=B&gen=ids&kill=ids[&trace=N]
+//	                            profile-limited GEN-KILL query
+//	/v1/{mount}/analyze/{pass}  any registered pass; /v1/{mount}/analyses lists them
+//	/v1/{mount}/refresh         (POST) re-read a segmented mount's manifest
+//	/refresh                    (POST) refresh every mount
+//	/metrics                    Prometheus text metrics (incl. per-mount)
+//	/debug/pprof/               runtime profiles
+//	/healthz                    liveness
 //
 // -in paths (files or segment directories) mount under their base
 // names without extension; -mount pairs mount under explicit names. -mmap serves reads from read-only

@@ -121,16 +121,16 @@ func main() {
 	countTraceUses(root, hottest, uses)
 	fmt.Printf("\nhot paths of %s:\n", f.FuncNames[hottest])
 	for i := range ft.Traces {
-		g, err := twpp.DynamicCFG(ft, i)
+		path, err := ft.Expand(i)
 		if err != nil {
 			log.Fatal(err)
 		}
-		path := g.Path()
-		if len(path) > 16 {
+		n := len(path)
+		if n > 16 {
 			path = path[:16]
 		}
 		fmt.Printf("  trace %d: %5d calls, path %v... (length %d)\n",
-			i, uses[i], path, g.Len)
+			i, uses[i], path, n)
 	}
 
 	// Access-time comparison: indexed TWPP extraction vs scanning the

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"twpp/internal/core"
-	"twpp/internal/dataflow"
 	"twpp/internal/lzw"
 	"twpp/internal/wppfile"
 )
@@ -57,11 +56,11 @@ func MeasureAblation(r *Result) (*Ablation, error) {
 			a.NoSeries += 4 * ns
 
 			// NoDict: rebuild the TWPP over the expanded path.
-			g, err := dataflow.Build(ft, i)
+			path, err := ft.Expand(i)
 			if err != nil {
 				return nil, err
 			}
-			expanded := core.FromPath(g.Path())
+			expanded := core.FromPath(path)
 			a.NoDict += 4 * expanded.Words()
 
 			// Neither: expanded path, raw timestamps.

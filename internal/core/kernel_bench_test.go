@@ -36,3 +36,35 @@ func BenchmarkFromPath(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDynamicGraph times the dynamic-CFG kernel over every unique
+// trace of the 126.gcc-like profile at scale 0.1, expanded as the cfg,
+// query and kpaths passes expand them.
+func BenchmarkDynamicGraph(b *testing.B) {
+	p, err := bench.ProfileByName("126.gcc-like")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := bench.Run(p, 0.1, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var paths []wpp.PathTrace
+	for f := range r.TWPP.Funcs {
+		ft := &r.TWPP.Funcs[f]
+		for i := range ft.Traces {
+			path, err := ft.Expand(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			paths = append(paths, path)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, path := range paths {
+			core.NewDynamicGraph(path)
+		}
+	}
+}

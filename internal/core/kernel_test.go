@@ -105,6 +105,44 @@ func TestFromPathHostileIDsAllocs(t *testing.T) {
 	}
 }
 
+// TestDynamicGraphStar pins the dynamic-CFG kernel on a star: one hub
+// block near 2^32 alternating with 2^16 distinct ids. The hub has 2^16
+// successors and predecessors, so a per-node linear scan for
+// duplicate edges would be quadratic, and a table indexed by raw id
+// would be O(2^32); the kernel must stay linear in the path, in bytes
+// allocated per block too.
+func TestDynamicGraphStar(t *testing.T) {
+	const leaves = 1 << 16
+	const hub = math.MaxUint32
+	path := make(wpp.PathTrace, 0, 2*leaves+1)
+	for x := 0; x < leaves; x++ {
+		path = append(path, hub, hub-1-cfg.BlockID(x))
+	}
+	path = append(path, hub)
+
+	g := NewDynamicGraph(path)
+	if k := len(g.Trace.Blocks); k != leaves+1 || g.Edges != 2*leaves || len(g.Succs[0]) != leaves || len(g.Preds[0]) != leaves {
+		t.Fatalf("%d nodes, %d edges, hub degree %d/%d; want %d, %d, %d", k, g.Edges, len(g.Succs[0]), len(g.Preds[0]), leaves+1, 2*leaves, leaves)
+	}
+	for x := 0; x < leaves; x++ {
+		j := int32(x + 1)
+		if g.Succs[0][x] != j || g.Preds[0][x] != j {
+			t.Fatalf("hub neighbour %d: succ %d, pred %d; want %d", x, g.Succs[0][x], g.Preds[0][x], j)
+		}
+		if s, p := g.Succs[j], g.Preds[j]; len(s) != 1 || s[0] != 0 || len(p) != 1 || p[0] != 0 {
+			t.Fatalf("leaf %d: succs %v, preds %v; want [0], [0]", j, s, p)
+		}
+	}
+	if n := len(g.Iters); n != leaves+2 || g.Iters[leaves] != 2*leaves || g.Iters[n-1] != int32(len(path)) {
+		t.Fatalf("%d iteration bounds; want %d, the last two %d and %d", n, leaves+2, 2*leaves, len(path))
+	}
+	perBlock := bytesPerRun(3, func() { NewDynamicGraph(path) }) / uint64(len(path))
+	t.Logf("warm NewDynamicGraph allocates %d bytes per block", perBlock)
+	if perBlock >= 128 {
+		t.Errorf("warm NewDynamicGraph on a %d-block star allocates %d bytes per block, want < 128", len(path), perBlock)
+	}
+}
+
 // TestStreamHostileIDsMatchesBatch streams a WPP whose block ids sit
 // just below 2^32 through trace.Demux into a StreamCompactor — the
 // path ingest takes — and checks the result equals the batch pipeline

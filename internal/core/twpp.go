@@ -27,13 +27,16 @@ type Trace struct {
 	Len    int
 }
 
-// invertScratch is FromPath's pooled working state.
+// invertScratch is the pooled working state of FromPath and
+// NewDynamicGraph.
 type invertScratch struct {
 	num   wpp.Numbering
 	next  []int32     // counting-sort cursor per local block index
 	times []Timestamp // positions grouped by block, ascending within a group
 	ents  Seq         // every block's series entries, block after block
 	ends  []int       // ents offset just past each block's entries
+	mark  []int32     // per local block index: the stamp of the last node or iteration that saw it
+	adj   []int32     // adjacency lists or iteration starts under construction
 }
 
 var invertPool = sync.Pool{New: func() any { return new(invertScratch) }}
@@ -47,6 +50,13 @@ var invertPool = sync.Pool{New: func() any { return new(invertScratch) }}
 func FromPath(path wpp.PathTrace) *Trace {
 	sc := invertPool.Get().(*invertScratch)
 	defer invertPool.Put(sc)
+	return sc.invert(path)
+}
+
+// invert is FromPath over sc. It leaves sc.num numbering path, and
+// sc.times holding each block's positions grouped by local index, the
+// group of block j ending at sc.next[j].
+func (sc *invertScratch) invert(path wpp.PathTrace) *Trace {
 	sc.num.Number(path)
 	ids, loc, count := sc.num.IDs, sc.num.Local, sc.num.Count
 	k := len(ids)
@@ -82,6 +92,85 @@ func FromPath(path wpp.PathTrace) *Trace {
 		prev = end
 	}
 	return tr
+}
+
+// DynamicGraph is the dynamic control flow graph of one path trace
+// (paper §4.1): its nodes are the path's distinct blocks, its edges
+// the distinct pairs of consecutive blocks. Node j is Trace.Blocks[j],
+// so nodes are numbered in order of first execution.
+type DynamicGraph struct {
+	// Trace is the path in TWPP form, exactly as FromPath returns it.
+	Trace *Trace
+	// Succs[j] and Preds[j] list node j's successors and predecessors
+	// as node indices, in the order the path first takes each edge.
+	Succs, Preds [][]int32
+	// Edges is the number of distinct edges.
+	Edges int
+	// Iters bounds the loop iterations, iteration m being
+	// path[Iters[m]:Iters[m+1]]. One starts at each block already
+	// executed in the current iteration: the dynamic back edge, where a
+	// Ball-Larus acyclic path ends.
+	Iters []int32
+}
+
+// NewDynamicGraph builds the dynamic CFG of path in O(len(path) +
+// nodes) with no map. It inverts path as FromPath does, then reads
+// each node's neighbours off the counting sort's position groups, where
+// node j's positions ascend, dropping repeats with a per-node stamp.
+func NewDynamicGraph(path wpp.PathTrace) *DynamicGraph {
+	sc := invertPool.Get().(*invertScratch)
+	defer invertPool.Put(sc)
+	tr := sc.invert(path)
+	k := len(tr.Blocks)
+	sc.mark = slices.Grow(sc.mark[:0], k)[:k]
+	lists := make([][]int32, 2*k)
+	g := &DynamicGraph{Trace: tr, Succs: lists[:k:k], Preds: lists[k:]}
+	// Successor lists go through scratch; each edge is one successor
+	// and one predecessor, so predecessors fill the rest of adj exactly.
+	sc.adj = sc.adjacency(sc.adj[:0], g.Succs, 1)
+	g.Edges = len(sc.adj)
+	adj := make([]int32, 0, 2*g.Edges)
+	for j, l := range g.Succs {
+		adj = append(adj, l...)
+		g.Succs[j] = adj[len(adj)-len(l) : len(adj) : len(adj)]
+	}
+	sc.adjacency(adj, g.Preds, -1)
+
+	// mark[l] == cur: block l already executed in iteration cur. The
+	// first block starts iteration 1, since every stamp is cleared.
+	mark, iters, cur := sc.mark, sc.adj[:0], int32(0)
+	clear(mark)
+	for i, l := range sc.num.Local {
+		if mark[l] == cur {
+			cur++
+			iters = append(iters, int32(i))
+		}
+		mark[l] = cur
+	}
+	g.Iters = append(append(make([]int32, 0, len(iters)+1), iters...), int32(len(path)))
+	sc.adj = iters
+	return g
+}
+
+// adjacency appends to adj, node by node, the distinct nodes at offset
+// dir (1: successors, -1: predecessors) from each node's positions, in
+// order of first appearance, and sets lists[j] to node j's run.
+func (sc *invertScratch) adjacency(adj []int32, lists [][]int32, dir int) []int32 {
+	loc, mark := sc.num.Local, sc.mark
+	clear(mark)
+	lo := int32(0)
+	for j, hi := range sc.next {
+		start, stamp := len(adj), int32(j+1)
+		for _, t := range sc.times[lo:hi] {
+			if q := int(t) - 1 + dir; q >= 0 && q < len(loc) && mark[loc[q]] != stamp {
+				mark[loc[q]] = stamp
+				adj = append(adj, loc[q])
+			}
+		}
+		lists[j] = adj[start:len(adj):len(adj)]
+		lo = hi
+	}
+	return adj
 }
 
 // ToPath inverts FromPath, reconstructing the path trace. The declared
@@ -173,6 +262,49 @@ type FunctionTWPP struct {
 	CallCount int
 }
 
+// Dict returns the dictionary of trace i. A trace index out of range
+// is an error; a dictionary index out of range is corrupt content.
+func (ft *FunctionTWPP) Dict(i int) (wpp.Dictionary, error) {
+	if i < 0 || i >= len(ft.Traces) {
+		return nil, fmt.Errorf("core: trace index %d out of range (%d traces)", i, len(ft.Traces))
+	}
+	if i >= len(ft.DictOf) || ft.DictOf[i] < 0 || ft.DictOf[i] >= len(ft.Dicts) {
+		return nil, corruptf("core: trace %d has no dictionary of %d", i, len(ft.Dicts))
+	}
+	return ft.Dicts[ft.DictOf[i]], nil
+}
+
+// Expand returns unique trace i in its original (pre-dictionary)
+// block sequence: the one dictionary expansion that materializes a
+// path.
+func (ft *FunctionTWPP) Expand(i int) (wpp.PathTrace, error) {
+	dict, err := ft.Dict(i)
+	if err != nil {
+		return nil, err
+	}
+	compacted, err := ft.Traces[i].ToPath()
+	if err != nil {
+		return nil, err
+	}
+	return dict.Expand(make(wpp.PathTrace, 0, ft.ExpandedLen(i)), compacted), nil
+}
+
+// ExpandedLen returns trace i's length after dictionary expansion
+// without materializing it: the sum over its blocks of count × chain
+// length. Trace i and its dictionary index must be in range.
+func (ft *FunctionTWPP) ExpandedLen(i int) int64 {
+	dict := ft.Dicts[ft.DictOf[i]]
+	var n int64
+	for _, bt := range ft.Traces[i].Blocks {
+		chain := 1
+		if c, ok := dict[bt.Block]; ok {
+			chain = len(c)
+		}
+		n += int64(bt.Times.Count()) * int64(chain)
+	}
+	return n
+}
+
 // TWPP is a fully compacted, timestamped whole program path: the
 // compacted DCG referencing per-function TWPP traces (paper Figure 7).
 type TWPP struct {
@@ -252,17 +384,7 @@ func (t *TWPP) ToCompacted() (*wpp.Compacted, error) {
 				return nil, fmt.Errorf("function %d trace %d: %w", f, i, err)
 			}
 			out.Traces[i] = path
-			// Recompute the expanded length from the dictionary.
-			n := 0
-			dict := in.Dicts[in.DictOf[i]]
-			for _, id := range path {
-				if chain, ok := dict[id]; ok {
-					n += len(chain)
-				} else {
-					n++
-				}
-			}
-			out.OrigLen[i] = n
+			out.OrigLen[i] = int(in.ExpandedLen(i))
 		}
 	}
 	return c, nil
@@ -307,22 +429,17 @@ func (t *TWPP) VectorStats() (avgCompacted, avgRaw float64) {
 // flow graphs of all unique traces (paper Table 6). Each unique trace
 // of each function contributes one dynamic CFG whose nodes are the
 // distinct blocks it executes and whose edges are the distinct
-// consecutive block pairs.
+// consecutive block pairs, both at dynamic-basic-block granularity:
+// the graph of the compacted path, not of its expansion.
 func (t *TWPP) DynamicGraphStats() (nodes, edges int) {
 	for f := range t.Funcs {
-		ft := &t.Funcs[f]
-		for _, tr := range ft.Traces {
+		for _, tr := range t.Funcs[f].Traces {
 			nodes += len(tr.Blocks)
-			// Recover the path to count distinct dynamic edges.
 			path, err := tr.ToPath()
 			if err != nil {
 				continue
 			}
-			seen := make(map[[2]cfg.BlockID]bool)
-			for j := 0; j+1 < len(path); j++ {
-				seen[[2]cfg.BlockID{path[j], path[j+1]}] = true
-			}
-			edges += len(seen)
+			edges += NewDynamicGraph(path).Edges
 		}
 	}
 	return nodes, edges

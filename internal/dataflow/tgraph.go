@@ -14,8 +14,6 @@
 package dataflow
 
 import (
-	"fmt"
-
 	"twpp/internal/cfg"
 	"twpp/internal/core"
 	"twpp/internal/wpp"
@@ -38,6 +36,7 @@ type TGraph struct {
 	// Len is the trace length (largest timestamp).
 	Len int
 
+	tr      *core.Trace
 	byBlock map[cfg.BlockID]*Node
 }
 
@@ -46,35 +45,33 @@ type TGraph struct {
 func (g *TGraph) Node(b cfg.BlockID) *Node { return g.byBlock[b] }
 
 // BuildFromPath constructs the timestamp-annotated dynamic CFG from an
-// expanded path trace.
+// expanded path trace, over core.NewDynamicGraph. The nodes share one
+// backing array, and so do their adjacency lists.
 func BuildFromPath(path wpp.PathTrace) *TGraph {
-	g := &TGraph{Len: len(path), byBlock: make(map[cfg.BlockID]*Node)}
-	times := make(map[cfg.BlockID][]core.Timestamp)
-	get := func(b cfg.BlockID) *Node {
-		n, ok := g.byBlock[b]
-		if !ok {
-			n = &Node{Block: b}
-			g.byBlock[b] = n
-			g.Nodes = append(g.Nodes, n)
-		}
-		return n
+	dg := core.NewDynamicGraph(path)
+	k := len(dg.Trace.Blocks)
+	g := &TGraph{Nodes: make([]*Node, k), Len: len(path), tr: dg.Trace, byBlock: make(map[cfg.BlockID]*Node, k)}
+	nodes := make([]Node, k)
+	for j, bt := range dg.Trace.Blocks {
+		n := &nodes[j]
+		n.Block, n.Times = bt.Block, bt.Times
+		g.Nodes[j] = n
+		g.byBlock[bt.Block] = n
 	}
-	edge := make(map[[2]cfg.BlockID]bool)
-	for i, b := range path {
-		n := get(b)
-		times[b] = append(times[b], core.Timestamp(i+1))
-		if i > 0 {
-			p := path[i-1]
-			if !edge[[2]cfg.BlockID{p, b}] {
-				edge[[2]cfg.BlockID{p, b}] = true
-				pn := g.byBlock[p]
-				pn.Succs = append(pn.Succs, n)
-				n.Preds = append(n.Preds, pn)
-			}
+	adj := make([]*Node, 2*dg.Edges)
+	link := func(idx []int32) []*Node {
+		if len(idx) == 0 {
+			return nil
 		}
+		list := adj[:len(idx):len(idx)]
+		adj = adj[len(idx):]
+		for x, j := range idx {
+			list[x] = g.Nodes[j]
+		}
+		return list
 	}
-	for _, n := range g.Nodes {
-		n.Times = core.CompactSeries(times[n.Block])
+	for j, n := range g.Nodes {
+		n.Succs, n.Preds = link(dg.Succs[j]), link(dg.Preds[j])
 	}
 	return g
 }
@@ -82,43 +79,21 @@ func BuildFromPath(path wpp.PathTrace) *TGraph {
 // Build expands unique trace traceIdx of ft through its dictionary and
 // constructs the annotated dynamic CFG.
 func Build(ft *core.FunctionTWPP, traceIdx int) (*TGraph, error) {
-	if traceIdx < 0 || traceIdx >= len(ft.Traces) {
-		return nil, fmt.Errorf("dataflow: trace index %d out of range (%d traces)", traceIdx, len(ft.Traces))
-	}
-	compacted, err := ft.Traces[traceIdx].ToPath()
+	path, err := ft.Expand(traceIdx)
 	if err != nil {
 		return nil, err
-	}
-	dict := ft.Dicts[ft.DictOf[traceIdx]]
-	var path wpp.PathTrace
-	for _, id := range compacted {
-		if chain, ok := dict[id]; ok {
-			path = append(path, chain...)
-		} else {
-			path = append(path, id)
-		}
 	}
 	return BuildFromPath(path), nil
 }
 
 // BlockAt returns the block executing at timestamp ts (0 if out of
 // range). It is O(nodes) over compacted vectors, not O(trace length).
-func (g *TGraph) BlockAt(ts core.Timestamp) cfg.BlockID {
-	for _, n := range g.Nodes {
-		if n.Times.Contains(ts) {
-			return n.Block
-		}
-	}
-	return 0
-}
+func (g *TGraph) BlockAt(ts core.Timestamp) cfg.BlockID { return g.tr.BlockAt(ts) }
 
 // Path re-materializes the underlying path trace.
 func (g *TGraph) Path() wpp.PathTrace {
-	out := make(wpp.PathTrace, g.Len)
-	for _, n := range g.Nodes {
-		for _, t := range n.Times.Expand() {
-			out[t-1] = n.Block
-		}
-	}
-	return out
+	// The trace is FromPath's inversion of a path, so it converts back
+	// without error.
+	path, _ := g.tr.ToPath()
+	return path
 }

@@ -32,6 +32,7 @@ package diff
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"twpp/internal/cfg"
@@ -123,23 +124,18 @@ func openContainer(path string, open wppfile.OpenOptions) (wppfile.Container, er
 // decoded function block: the 64-bit FNV-1a hash (16 hex digits) of
 // its fully dictionary-expanded block sequence, plus the expanded
 // length. Identity is what lets a diff match traces across containers
-// whose trace indices, dictionaries, or segment layouts differ.
+// whose trace indices, dictionaries, or segment layouts differ. It
+// hashes chain by chain instead of calling FunctionTWPP.Expand: diff
+// has no expansion bound, and a materialized expansion would let a
+// small hostile container allocate trace length × chain length.
 func TraceIdentity(ft *core.FunctionTWPP, idx int) (key string, expLen int, err error) {
-	if idx < 0 || idx >= len(ft.Traces) {
-		return "", 0, fmt.Errorf("diff: trace index %d out of range (%d traces)", idx, len(ft.Traces))
+	dict, err := ft.Dict(idx)
+	if err != nil {
+		return "", 0, err
 	}
 	path, err := ft.Traces[idx].ToPath()
 	if err != nil {
 		return "", 0, err
-	}
-	var dict wpp.Dictionary
-	if idx < len(ft.DictOf) {
-		di := ft.DictOf[idx]
-		if di < 0 || di >= len(ft.Dicts) {
-			return "", 0, encoding.Errf(encoding.CodeCorrupt, 0,
-				"diff: trace %d references dictionary %d of %d", idx, di, len(ft.Dicts))
-		}
-		dict = ft.Dicts[di]
 	}
 	h := wpp.HashStart
 	for _, id := range path {
@@ -390,7 +386,7 @@ func compare(a, b *sideSummary, opts Options) *Report {
 			appeared := onlyIn(fb, fa)
 			disappeared := onlyIn(fa, fb)
 			ra, rb := topK(fa.rank, opts.TopK), topK(fb.rank, opts.TopK)
-			drift := !equalStrings(ra, rb)
+			drift := !slices.Equal(ra, rb)
 			if fa.calls == fb.calls && fa.factor == fb.factor &&
 				len(appeared) == 0 && len(disappeared) == 0 && !drift {
 				continue // identical: no delta row
@@ -446,16 +442,4 @@ func topK(rank []string, k int) []string {
 	out := make([]string, k)
 	copy(out, rank[:k])
 	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

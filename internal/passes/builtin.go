@@ -164,29 +164,38 @@ func runStats(ctx context.Context, c wppfile.Container, p Params) (any, error) {
 	}, nil
 }
 
+// traceGraph builds the dynamic CFG of fn's unique trace named by the
+// "trace" parameter (default 0): the shared first half of the cfg and
+// query passes. The graph owns its memory, so the extraction is
+// released before it returns.
+func traceGraph(ctx context.Context, c wppfile.Container, p Params, fn cfg.FuncID) (*dataflow.TGraph, int, error) {
+	traceIx, err := p.Int("trace", 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	ft, release, err := Extract(ctx, c, fn)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer release()
+	if traceIx < 0 || traceIx >= len(ft.Traces) {
+		return nil, 0, cli.Usagef("trace index %d out of range (%d traces)", traceIx, len(ft.Traces))
+	}
+	if err := checkExpand(ft, traceIx); err != nil {
+		return nil, 0, err
+	}
+	g, err := dataflow.Build(ft, traceIx)
+	return g, traceIx, corruptTrace(err)
+}
+
 func runCFG(ctx context.Context, c wppfile.Container, p Params) (any, error) {
 	fn, err := p.Func()
 	if err != nil {
 		return nil, err
 	}
-	traceIx, err := p.Int("trace", 0)
+	g, traceIx, err := traceGraph(ctx, c, p, fn)
 	if err != nil {
 		return nil, err
-	}
-	ft, release, err := Extract(ctx, c, fn)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if traceIx < 0 || traceIx >= len(ft.Traces) {
-		return nil, cli.Usagef("trace index %d out of range (%d traces)", traceIx, len(ft.Traces))
-	}
-	if err := checkExpand(ft, traceIx); err != nil {
-		return nil, err
-	}
-	g, err := dataflow.Build(ft, traceIx)
-	if err != nil {
-		return nil, corruptTrace(err)
 	}
 	resp := &CFGResult{
 		File:  p.Source,
@@ -223,10 +232,6 @@ func runQuery(ctx context.Context, c wppfile.Container, p Params) (any, error) {
 	if block <= 0 {
 		return nil, cli.Usagef("missing or non-positive block parameter")
 	}
-	traceIx, err := p.Int("trace", 0)
-	if err != nil {
-		return nil, err
-	}
 	gens, err := p.Blocks("gen")
 	if err != nil {
 		return nil, err
@@ -235,20 +240,9 @@ func runQuery(ctx context.Context, c wppfile.Container, p Params) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	ft, release, err := Extract(ctx, c, fn)
+	g, traceIx, err := traceGraph(ctx, c, p, fn)
 	if err != nil {
 		return nil, err
-	}
-	defer release()
-	if traceIx < 0 || traceIx >= len(ft.Traces) {
-		return nil, cli.Usagef("trace index %d out of range (%d traces)", traceIx, len(ft.Traces))
-	}
-	if err := checkExpand(ft, traceIx); err != nil {
-		return nil, err
-	}
-	g, err := dataflow.Build(ft, traceIx)
-	if err != nil {
-		return nil, corruptTrace(err)
 	}
 	if g.Node(cfg.BlockID(block)) == nil {
 		return nil, fmt.Errorf("passes: block %d never executes in trace %d: %w", block, traceIx, ErrNotFound)

@@ -89,10 +89,10 @@ func checkExpand(ft *core.FunctionTWPP, traceIdx int) error {
 func checkExpandScaled(ft *core.FunctionTWPP, traceIdx int, scale int64) error {
 	total := int64(0)
 	if traceIdx >= 0 {
-		total = expandedLen(ft, traceIdx)
+		total = ft.ExpandedLen(traceIdx)
 	} else {
 		for i := range ft.Traces {
-			total += expandedLen(ft, i)
+			total += ft.ExpandedLen(i)
 		}
 	}
 	if total > MaxExpandBlocks/scale {
@@ -103,21 +103,4 @@ func checkExpandScaled(ft *core.FunctionTWPP, traceIdx int, scale int64) error {
 		}
 	}
 	return nil
-}
-
-// expandedLen computes trace i's expanded length from compacted
-// timestamp counts and dictionary chain lengths, without materializing
-// anything: sum over dynamic blocks of count × chain length.
-func expandedLen(ft *core.FunctionTWPP, i int) int64 {
-	t := ft.Traces[i]
-	dict := ft.Dicts[ft.DictOf[i]]
-	var n int64
-	for _, bt := range t.Blocks {
-		chain := 1
-		if c, ok := dict[bt.Block]; ok {
-			chain = len(c)
-		}
-		n += int64(bt.Times.Count()) * int64(chain)
-	}
-	return n
 }

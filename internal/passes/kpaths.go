@@ -146,51 +146,27 @@ func runKPaths(ctx context.Context, c wppfile.Container, p Params) (any, error) 
 	return res, nil
 }
 
-// iterations expands unique trace i through its dictionary and splits
-// the block sequence into loop iterations: a new iteration begins when
-// the next block already executed in the current one, which is exactly
-// where a Ball-Larus acyclic path terminates at the dynamic back edge.
-// A loop-free invocation is a single iteration. Both the expansion and
-// the split walk up to MaxExpandBlocks items, so each polls ctx
-// periodically.
+// iterations expands unique trace i and splits it into loop iterations
+// at core.NewDynamicGraph's bounds: the dynamic back edges, where
+// Ball-Larus acyclic paths terminate. The iterations share one backing
+// array. Expansion and split each take linear time; ctx is checked
+// between them, and the window loop polls it.
 func iterations(ctx context.Context, ft *core.FunctionTWPP, i int) ([][]int, error) {
-	compacted, err := ft.Traces[i].ToPath()
+	path, err := ft.Expand(i)
 	if err != nil {
 		return nil, err
 	}
-	dict := ft.Dicts[ft.DictOf[i]]
-	var path wpp.PathTrace
-	for n, id := range compacted {
-		if n&0xfff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if chain, ok := dict[id]; ok {
-			path = append(path, chain...)
-		} else {
-			path = append(path, id)
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	var iters [][]int
-	seen := map[cfg.BlockID]bool{}
-	var cur []int
+	bounds := core.NewDynamicGraph(path).Iters
+	blocks := make([]int, len(path))
 	for n, b := range path {
-		if n&0xfff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if seen[b] {
-			iters = append(iters, cur)
-			cur = nil
-			clear(seen)
-		}
-		seen[b] = true
-		cur = append(cur, int(b))
+		blocks[n] = int(b)
 	}
-	if len(cur) > 0 {
-		iters = append(iters, cur)
+	iters := make([][]int, len(bounds)-1)
+	for m := range iters {
+		iters[m] = blocks[bounds[m]:bounds[m+1]:bounds[m+1]]
 	}
 	return iters, nil
 }

@@ -16,12 +16,12 @@ import (
 )
 
 // passParams translates the request into pass parameters: every query
-// parameter except the mount selector, with a validated {fn} path
-// segment (when the route has one) supplying "func".
+// parameter, with a validated {fn} path segment (when the route has
+// one) supplying "func".
 func passParams(r *http.Request, m *Mount) (passes.Params, error) {
 	vals := map[string]string{}
 	for k, vs := range r.URL.Query() {
-		if k == "file" || len(vs) == 0 {
+		if len(vs) == 0 {
 			continue
 		}
 		vals[k] = vs[0]

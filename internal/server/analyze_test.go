@@ -66,32 +66,30 @@ func getStatus(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 }
 
 // The discovery endpoint lists every registered pass with its
-// parameter docs, under both namespaces.
+// parameter docs.
 func TestAnalysesDiscovery(t *testing.T) {
 	ts := analyzeServer(t)
-	for _, path := range []string{"/analyses", "/v1/t/analyses"} {
-		status, body := getStatus(t, ts, path)
-		if status != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, status, body)
+	status, body := getStatus(t, ts, "/v1/t/analyses")
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	var resp server.AnalysesResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.File != "t" {
+		t.Errorf("file %q, want t", resp.File)
+	}
+	want := passes.Names()
+	if len(resp.Analyses) != len(want) {
+		t.Fatalf("%d analyses, want %d", len(resp.Analyses), len(want))
+	}
+	for i, name := range want {
+		if resp.Analyses[i].Name != name {
+			t.Errorf("analyses[%d] = %q, want %q", i, resp.Analyses[i].Name, name)
 		}
-		var resp server.AnalysesResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.File != "t" {
-			t.Errorf("GET %s: file %q, want t", path, resp.File)
-		}
-		want := passes.Names()
-		if len(resp.Analyses) != len(want) {
-			t.Fatalf("GET %s: %d analyses, want %d", path, len(resp.Analyses), len(want))
-		}
-		for i, name := range want {
-			if resp.Analyses[i].Name != name {
-				t.Errorf("GET %s: analyses[%d] = %q, want %q", path, i, resp.Analyses[i].Name, name)
-			}
-			if resp.Analyses[i].Params == nil {
-				t.Errorf("GET %s: %s params is null", path, name)
-			}
+		if resp.Analyses[i].Params == nil {
+			t.Errorf("%s params is null", name)
 		}
 	}
 }
@@ -111,7 +109,7 @@ func TestAnalyzeErrorStatuses(t *testing.T) {
 		{"/v1/t/analyze/kpaths?func=0&k=x", http.StatusBadRequest},
 		{"/v1/t/analyze/kpaths?func=9999&k=1", http.StatusNotFound},
 		{"/v1/no/analyze/kpaths?func=0", http.StatusNotFound}, // absent mount
-		{"/analyze/stats?func=0", http.StatusOK},              // legacy namespace works
+		{"/analyze/stats?func=0", http.StatusNotFound},        // no flat routes
 	}
 	for _, tc := range cases {
 		status, body := getStatus(t, ts, tc.path)

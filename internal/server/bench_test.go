@@ -15,7 +15,7 @@ import (
 // render) driven through the handler with no network, in parallel.
 func BenchmarkServeExtract(b *testing.B) {
 	path, _ := writeCorpusFile(b, testkit.Config{Seed: 73, Shape: testkit.Regular, Funcs: 6, Calls: 200})
-	paths := goodPaths(b, path)
+	paths := goodPaths(b, "bench", path)
 	srv := server.New(server.Options{CacheEntries: 16, MaxInFlight: 4 * runtime.GOMAXPROCS(0)})
 	if err := srv.Mount("bench", path); err != nil {
 		b.Fatal(err)

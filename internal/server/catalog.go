@@ -14,10 +14,9 @@ import (
 )
 
 // Catalog maps mount names to opened containers and carries the
-// per-mount serving metrics. It is the routing table behind both the
-// legacy ?file= selector and the /v1/{mount}/... path namespace: the
-// server resolves a request to a *Mount here, then serves entirely
-// from that mount's container.
+// per-mount serving metrics. It is the routing table behind the
+// /v1/{mount}/... path namespace: the server resolves a request to a
+// *Mount here, then serves entirely from that mount's container.
 //
 // Mounting IS safe concurrent with serving — the map is lock-guarded
 // and metric registration is registry-guarded — which is what lets a
@@ -210,17 +209,10 @@ func (c *Catalog) Mount(name, path string) error {
 	return nil
 }
 
-// Get resolves a mount by name; empty selects the default (first
-// mounted).
+// Get resolves a mount by name.
 func (c *Catalog) Get(name string) (*Mount, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if name == "" {
-		if len(c.order) == 0 {
-			return nil, fmt.Errorf("server: no files mounted: %w", errNotFound)
-		}
-		return c.mounts[c.order[0]], nil
-	}
 	m, ok := c.mounts[name]
 	if !ok {
 		return nil, fmt.Errorf("server: no mount %q: %w", name, errNotFound)
@@ -228,7 +220,7 @@ func (c *Catalog) Get(name string) (*Mount, error) {
 	return m, nil
 }
 
-// Names lists mount names in mount order (first is the default).
+// Names lists mount names in mount order.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

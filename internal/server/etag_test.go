@@ -61,7 +61,7 @@ func decodeWork(s *Server) (misses, bytes, hits uint64) {
 func TestETagNotModified(t *testing.T) {
 	s := newTestServer(t, Options{})
 
-	first := getH(s, "/trace/1", nil)
+	first := getH(s, "/v1/t/trace/1", nil)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first GET: status = %d\n%s", first.Code, first.Body.Bytes())
 	}
@@ -71,7 +71,7 @@ func TestETagNotModified(t *testing.T) {
 	}
 
 	m0, b0, h0 := decodeWork(s)
-	rev := getH(s, "/trace/1", map[string]string{"If-None-Match": etag})
+	rev := getH(s, "/v1/t/trace/1", map[string]string{"If-None-Match": etag})
 	if rev.Code != http.StatusNotModified {
 		t.Fatalf("revalidation: status = %d, want 304\n%s", rev.Code, rev.Body.Bytes())
 	}
@@ -95,12 +95,12 @@ func TestETagNotModified(t *testing.T) {
 
 	// Weak-compare and list forms of If-None-Match must also match.
 	for _, h := range []string{"W/" + etag, `"nope", ` + etag, "*"} {
-		if rec := getH(s, "/trace/1", map[string]string{"If-None-Match": h}); rec.Code != http.StatusNotModified {
+		if rec := getH(s, "/v1/t/trace/1", map[string]string{"If-None-Match": h}); rec.Code != http.StatusNotModified {
 			t.Errorf("If-None-Match %q: status = %d, want 304", h, rec.Code)
 		}
 	}
 	// A stale tag must get the full response again.
-	if rec := getH(s, "/trace/1", map[string]string{"If-None-Match": `"deadbeef"`}); rec.Code != http.StatusOK {
+	if rec := getH(s, "/v1/t/trace/1", map[string]string{"If-None-Match": `"deadbeef"`}); rec.Code != http.StatusOK {
 		t.Errorf("stale tag: status = %d, want 200", rec.Code)
 	}
 }
@@ -109,12 +109,12 @@ func TestETagNotModified(t *testing.T) {
 // bytes, no handler run, no decode work.
 func TestResponseCacheHit(t *testing.T) {
 	s := newTestServer(t, Options{CacheEntries: -1}) // decode cache off: any decode moves the miss counter
-	first := getH(s, "/stats/1", nil)
+	first := getH(s, "/v1/t/stats/1", nil)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first GET: status = %d", first.Code)
 	}
 	m0, b0, _ := decodeWork(s)
-	second := getH(s, "/stats/1", nil)
+	second := getH(s, "/v1/t/stats/1", nil)
 	if second.Code != http.StatusOK {
 		t.Fatalf("second GET: status = %d", second.Code)
 	}
@@ -141,7 +141,7 @@ func TestResponseCacheHit(t *testing.T) {
 		t.Errorf("twpp_respcache_misses_total = %d, want 1 (only the first GET)", got)
 	}
 	// Different query parameters are different cache entries.
-	if rec := getH(s, "/stats/1?file=t", nil); rec.Code != http.StatusOK {
+	if rec := getH(s, "/v1/t/stats/1?pad=x", nil); rec.Code != http.StatusOK {
 		t.Fatalf("param variant: status = %d", rec.Code)
 	}
 	if got := s.reg.Counter("twpp_respcache_hits_total").Value(); got != 1 {
@@ -166,7 +166,7 @@ func TestETagTracksContent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := getH(s, "/funcs", nil)
+		rec := getH(s, "/v1/t/funcs", nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d", rec.Code)
 		}
@@ -192,14 +192,14 @@ func TestV1NoETag(t *testing.T) {
 	if err := s.Mount("t", writeFixtureFormat(t, 8, wppfile.FormatV1)); err != nil {
 		t.Fatal(err)
 	}
-	rec := getH(s, "/funcs", nil)
+	rec := getH(s, "/v1/t/funcs", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	if etag := rec.Header().Get("ETag"); etag != "" {
 		t.Errorf("v1 mount served ETag %q", etag)
 	}
-	if rec := getH(s, "/funcs", map[string]string{"If-None-Match": "*"}); rec.Code != http.StatusNotModified {
+	if rec := getH(s, "/v1/t/funcs", map[string]string{"If-None-Match": "*"}); rec.Code != http.StatusNotModified {
 		// "*" matches any current representation, but with no ETag the
 		// wrapper passes straight through.
 		if rec.Code != http.StatusOK {
@@ -221,15 +221,15 @@ func TestRespCacheDisabled(t *testing.T) {
 	if err := s.Mount("t", writeFixtureFormat(t, 8, wppfile.FormatV2)); err != nil {
 		t.Fatal(err)
 	}
-	rec := getH(s, "/funcs", nil)
+	rec := getH(s, "/v1/t/funcs", nil)
 	etag := rec.Header().Get("ETag")
 	if rec.Code != http.StatusOK || etag == "" {
 		t.Fatalf("status = %d, ETag = %q", rec.Code, etag)
 	}
-	if rec := getH(s, "/funcs", map[string]string{"If-None-Match": etag}); rec.Code != http.StatusNotModified {
+	if rec := getH(s, "/v1/t/funcs", map[string]string{"If-None-Match": etag}); rec.Code != http.StatusNotModified {
 		t.Errorf("revalidation with cache disabled: status = %d, want 304", rec.Code)
 	}
-	getH(s, "/funcs", nil)
+	getH(s, "/v1/t/funcs", nil)
 	if got := s.reg.Counter("twpp_respcache_hits_total").Value(); got != 0 {
 		t.Errorf("disabled response cache reported hits: %d", got)
 	}
@@ -243,7 +243,7 @@ func TestRespCacheDisabled(t *testing.T) {
 func TestRespCacheBounded(t *testing.T) {
 	s := newTestServer(t, Options{ResponseCacheEntries: 16})
 	for i := 0; i < 200; i++ {
-		if rec := getH(s, "/stats/1?pad="+strings.Repeat("x", i%37+1), nil); rec.Code != http.StatusOK {
+		if rec := getH(s, "/v1/t/stats/1?pad="+strings.Repeat("x", i%37+1), nil); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: status = %d", i, rec.Code)
 		}
 	}
@@ -256,7 +256,7 @@ func TestRespCacheBounded(t *testing.T) {
 // per-mount, per-shard — must appear in the /metrics exposition.
 func TestMetricsExposeEveryRegisteredName(t *testing.T) {
 	s := newTestServer(t, Options{})
-	for _, path := range []string{"/funcs", "/trace/1", "/stats/1", "/cfg/1", "/query?func=1&block=2&gen=1", "/mounts"} {
+	for _, path := range []string{"/v1/t/funcs", "/v1/t/trace/1", "/v1/t/stats/1", "/v1/t/cfg/1", "/v1/t/query?func=1&block=2&gen=1", "/mounts"} {
 		if rec := getH(s, path, nil); rec.Code != http.StatusOK {
 			t.Fatalf("%s: status = %d", path, rec.Code)
 		}

@@ -80,15 +80,10 @@ type mountRef struct {
 	status int
 }
 
-// resolveMount picks the mount addressed by the request: the
-// /v1/{mount}/... path segment when present, else ?file=, else the
-// default (first mounted file).
+// resolveMount picks the mount the request's /v1/{mount}/... path
+// segment names.
 func (s *Server) resolveMount(r *http.Request) (*Mount, error) {
-	name := r.PathValue("mount")
-	if name == "" {
-		name = r.URL.Query().Get("file")
-	}
-	m, err := s.cat.Get(name)
+	m, err := s.cat.Get(r.PathValue("mount"))
 	if err != nil {
 		return nil, err
 	}
@@ -132,8 +127,7 @@ type MountInfo struct {
 	BlockBytes  int64  `json:"block_bytes"`
 }
 
-// MountsResponse lists the catalog in mount order (first is the
-// default mount).
+// MountsResponse lists the catalog in mount order.
 type MountsResponse struct {
 	Mounts []MountInfo `json:"mounts"`
 }

@@ -38,30 +38,32 @@ func writeCorpusFile(t testing.TB, cfg testkit.Config) (string, []byte) {
 }
 
 // goodPaths enumerates request paths that must all succeed against the
-// file: /funcs, and per function the trace/stats/CFG extractions plus
-// one valid GEN-KILL query built from the first trace's blocks.
-func goodPaths(t testing.TB, path string) []string {
+// file mounted as mount: /funcs, and per function the trace/stats/CFG
+// extractions plus one valid GEN-KILL query built from the first
+// trace's blocks.
+func goodPaths(t testing.TB, mount, path string) []string {
 	t.Helper()
 	cf, err := wppfile.OpenCompacted(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	paths := []string{"/funcs"}
+	pre := "/v1/" + mount
+	paths := []string{pre + "/funcs"}
 	for _, fn := range cf.Functions() {
 		ft, err := cf.ExtractFunction(fn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		paths = append(paths,
-			fmt.Sprintf("/trace/%d", fn),
-			fmt.Sprintf("/stats/%d", fn),
-			fmt.Sprintf("/cfg/%d", fn),
+			fmt.Sprintf("%s/trace/%d", pre, fn),
+			fmt.Sprintf("%s/stats/%d", pre, fn),
+			fmt.Sprintf("%s/cfg/%d", pre, fn),
 		)
 		if len(ft.Traces) > 0 && len(ft.Traces[0].Blocks) > 1 {
 			tr := ft.Traces[0]
-			paths = append(paths, fmt.Sprintf("/query?func=%d&block=%d&gen=%d",
-				fn, tr.Blocks[0].Block, tr.Blocks[1].Block))
+			paths = append(paths, fmt.Sprintf("%s/query?func=%d&block=%d&gen=%d",
+				pre, fn, tr.Blocks[0].Block, tr.Blocks[1].Block))
 		}
 	}
 	return paths
@@ -83,7 +85,7 @@ func TestLoadSoak(t *testing.T) {
 	)
 	withGOMAXPROCS(t, 4) // exercise real parallelism even on 1-CPU CI hosts
 	path, _ := writeCorpusFile(t, testkit.Config{Seed: 71, Shape: testkit.Regular, Funcs: 6, Calls: 120})
-	paths := goodPaths(t, path)
+	paths := goodPaths(t, "load", path)
 
 	srv := server.New(server.Options{CacheEntries: 8, MaxInFlight: maxInFlight})
 	if err := srv.Mount("load", path); err != nil {
@@ -222,7 +224,7 @@ func TestLoadCorruptedFile(t *testing.T) {
 		t.Skip("corruption sweep skipped in -short")
 	}
 	path, data := writeCorpusFile(t, testkit.Config{Seed: 72, Shape: testkit.Irregular, Funcs: 4, Calls: 40})
-	paths := goodPaths(t, path)
+	paths := goodPaths(t, "m", path)
 	dir := t.TempDir()
 
 	var mounts, rejects4xx, mountRejects int

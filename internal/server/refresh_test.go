@@ -42,7 +42,7 @@ func TestRefreshPicksUpAppendedSession(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 
-	before := getH(s, "/stats/1", nil)
+	before := getH(s, "/v1/t/stats/1", nil)
 	if before.Code != http.StatusOK {
 		t.Fatalf("pre-append GET: %d\n%s", before.Code, before.Body.Bytes())
 	}
@@ -55,7 +55,7 @@ func TestRefreshPicksUpAppendedSession(t *testing.T) {
 	}
 
 	// Unrefreshed, the mount serves the old generation unchanged.
-	stale := getH(s, "/stats/1", nil)
+	stale := getH(s, "/v1/t/stats/1", nil)
 	if stale.Code != http.StatusOK || stale.Body.String() != before.Body.String() {
 		t.Fatalf("pre-refresh view changed: %d\n%s", stale.Code, stale.Body.Bytes())
 	}
@@ -72,7 +72,7 @@ func TestRefreshPicksUpAppendedSession(t *testing.T) {
 		t.Fatalf("refresh = %+v, want refreshed at generation 2", rr)
 	}
 
-	after := getH(s, "/stats/1", nil)
+	after := getH(s, "/v1/t/stats/1", nil)
 	if after.Code != http.StatusOK {
 		t.Fatalf("post-refresh GET: %d\n%s", after.Code, after.Body.Bytes())
 	}

@@ -68,7 +68,7 @@ func TestSegmentedMountServesAcrossMerge(t *testing.T) {
 		t.Fatalf("fixture sealed into %d segments, want >= 2", set.SegmentCount())
 	}
 
-	first := getH(s, "/trace/1", nil)
+	first := getH(s, "/v1/t/trace/1", nil)
 	if first.Code != http.StatusOK {
 		t.Fatalf("pre-merge GET: %d\n%s", first.Code, first.Body.Bytes())
 	}
@@ -80,7 +80,7 @@ func TestSegmentedMountServesAcrossMerge(t *testing.T) {
 
 	// Hammer the query plane from several goroutines while the merger
 	// folds two segments at a time. Every response must be 200 or 304.
-	paths := []string{"/trace/0", "/trace/1", "/trace/2", "/funcs", "/stats/1"}
+	paths := []string{"/v1/t/trace/0", "/v1/t/trace/1", "/v1/t/trace/2", "/v1/t/funcs", "/v1/t/stats/1"}
 	stop := make(chan struct{})
 	errs := make(chan error, 8)
 	var wg sync.WaitGroup
@@ -121,7 +121,7 @@ func TestSegmentedMountServesAcrossMerge(t *testing.T) {
 		t.Error(err)
 	}
 
-	after := getH(s, "/trace/1", nil)
+	after := getH(s, "/v1/t/trace/1", nil)
 	if after.Code != http.StatusOK {
 		t.Fatalf("post-merge GET: %d\n%s", after.Code, after.Body.Bytes())
 	}
@@ -134,11 +134,11 @@ func TestSegmentedMountServesAcrossMerge(t *testing.T) {
 	}
 
 	// A client holding the pre-merge tag must get a fresh 200, not 304.
-	if rec := getH(s, "/trace/1", map[string]string{"If-None-Match": etag0}); rec.Code != http.StatusOK {
+	if rec := getH(s, "/v1/t/trace/1", map[string]string{"If-None-Match": etag0}); rec.Code != http.StatusOK {
 		t.Errorf("stale tag revalidation: status %d, want 200", rec.Code)
 	}
 	// The current tag revalidates to 304 as usual.
-	if rec := getH(s, "/trace/1", map[string]string{"If-None-Match": etag1}); rec.Code != http.StatusNotModified {
+	if rec := getH(s, "/v1/t/trace/1", map[string]string{"If-None-Match": etag1}); rec.Code != http.StatusNotModified {
 		t.Errorf("fresh tag revalidation: status %d, want 304", rec.Code)
 	}
 }

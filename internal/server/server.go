@@ -201,12 +201,9 @@ func New(opts Options) *Server {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	// Query routes are deterministic functions of (mounted bytes,
 	// request URI), so they go through the ETag/response-cache wrapper,
-	// and each registers exactly once under both namespaces: the legacy
-	// flat routes (mount selected with ?file=) and /v1/{mount}/...
+	// and each registers once, under /v1/{mount}/...
 	registerQuery := func(pattern string, h handlerFunc) {
-		wrapped := s.limited(s.cached(h))
-		mux.HandleFunc("GET "+pattern, wrapped)
-		mux.HandleFunc("GET /v1/{mount}"+pattern, wrapped)
+		mux.HandleFunc("GET /v1/{mount}"+pattern, s.limited(s.cached(h)))
 	}
 	// Each registered pass with a dedicated route gets it; every pass —
 	// routed or not — is reachable through the generic analyze endpoint
@@ -231,17 +228,16 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Mount opens path read-only under the given name (the default mount
-// is the first one mounted; requests select others with ?file=name or
-// the /v1/{mount}/... path). The file is opened with the server's
-// decode limits and backend, its own decode cache, and
-// instrumentation feeding both the aggregate and per-mount
+// Mount opens path read-only under the given name, which requests
+// address as the /v1/{mount}/... path segment. The file is opened
+// with the server's decode limits and backend, its own decode cache,
+// and instrumentation feeding both the aggregate and per-mount
 // cache/decode metrics.
 func (s *Server) Mount(name, path string) error {
 	return s.cat.Mount(name, path)
 }
 
-// Mounts lists mount names in mount order (first is the default).
+// Mounts lists mount names in mount order.
 func (s *Server) Mounts() []string { return s.cat.Names() }
 
 // Catalog exposes the server's mount catalog.

@@ -83,7 +83,7 @@ func TestThrottled429WhenSaturated(t *testing.T) {
 	s.sem <- struct{}{}
 	s.sem <- struct{}{} // both slots held: next query request must bounce
 
-	status, body := get(s, "/funcs")
+	status, body := get(s, "/v1/t/funcs")
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("saturated /funcs: status = %d, want 429\n%s", status, body)
 	}
@@ -100,7 +100,7 @@ func TestThrottled429WhenSaturated(t *testing.T) {
 	}
 
 	<-s.sem
-	if status, _ := get(s, "/funcs"); status != http.StatusOK {
+	if status, _ := get(s, "/v1/t/funcs"); status != http.StatusOK {
 		t.Errorf("after slot release: status = %d, want 200", status)
 	}
 }
@@ -110,7 +110,7 @@ func TestThrottled429WhenSaturated(t *testing.T) {
 func TestRequestTimeout504(t *testing.T) {
 	s := newTestServer(t, Options{RequestTimeout: time.Nanosecond})
 	time.Sleep(time.Millisecond) // ensure the deadline is expired at first ctx check
-	status, body := get(s, "/trace/1")
+	status, body := get(s, "/v1/t/trace/1")
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504\n%s", status, body)
 	}
@@ -125,10 +125,10 @@ func TestRequestTimeout504(t *testing.T) {
 func TestNotFound404(t *testing.T) {
 	s := newTestServer(t, Options{})
 	for _, path := range []string{
-		"/trace/99",                     // absent function
-		"/stats/99",                     // absent function
-		"/funcs?file=no",                // absent mount
-		"/query?func=0&block=999&gen=2", // block never executes
+		"/v1/t/trace/99",                     // absent function
+		"/v1/t/stats/99",                     // absent function
+		"/v1/no/funcs",                       // absent mount
+		"/v1/t/query?func=0&block=999&gen=2", // block never executes
 	} {
 		status, body := get(s, path)
 		if status != http.StatusNotFound {
@@ -144,12 +144,12 @@ func TestNotFound404(t *testing.T) {
 func TestUsage400(t *testing.T) {
 	s := newTestServer(t, Options{})
 	for _, path := range []string{
-		"/trace/xyz",                    // non-numeric function id
-		"/trace/1?trace=9999",           // trace index out of range
-		"/query?block=2",                // missing func
-		"/query?func=1",                 // missing block
-		"/query?func=1&block=2&gen=a,b", // bad gen list
-		"/cfg/1?trace=-3",               // negative trace index
+		"/v1/t/trace/xyz",                    // non-numeric function id
+		"/v1/t/trace/1?trace=9999",           // trace index out of range
+		"/v1/t/query?block=2",                // missing func
+		"/v1/t/query?func=1",                 // missing block
+		"/v1/t/query?func=1&block=2&gen=a,b", // bad gen list
+		"/v1/t/cfg/1?trace=-3",               // negative trace index
 	} {
 		status, body := get(s, path)
 		if status != http.StatusBadRequest {
@@ -166,7 +166,7 @@ func TestUsage400(t *testing.T) {
 // renders them in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{})
-	for _, path := range []string{"/funcs", "/trace/1", "/stats/1", "/cfg/1", "/query?func=1&block=2&gen=1"} {
+	for _, path := range []string{"/v1/t/funcs", "/v1/t/trace/1", "/v1/t/stats/1", "/v1/t/cfg/1", "/v1/t/query?func=1&block=2&gen=1"} {
 		if status, body := get(s, path); status != http.StatusOK {
 			t.Fatalf("%s: status = %d\n%s", path, status, body)
 		}
@@ -207,7 +207,7 @@ func TestPanicRecovery(t *testing.T) {
 		panic("boom")
 	})
 	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest(http.MethodGet, "/funcs", nil))
+	h(rec, httptest.NewRequest(http.MethodGet, "/v1/t/funcs", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
@@ -227,13 +227,13 @@ func TestRequestLog(t *testing.T) {
 	if err := s.Mount("t", writeFixture(t, 6)); err != nil {
 		t.Fatal(err)
 	}
-	get(s, "/funcs")
-	get(s, "/trace/99")
+	get(s, "/v1/t/funcs")
+	get(s, "/v1/t/trace/99")
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d log lines, want 2:\n%s", len(lines), buf.String())
 	}
-	if !strings.Contains(lines[0], "status=200 code=ok") || !strings.Contains(lines[0], "path=/funcs") {
+	if !strings.Contains(lines[0], "status=200 code=ok") || !strings.Contains(lines[0], "path=/v1/t/funcs") {
 		t.Errorf("line 0 = %q", lines[0])
 	}
 	if !strings.Contains(lines[1], "status=404 code=not_found") || !strings.Contains(lines[1], "err=") {
@@ -241,8 +241,8 @@ func TestRequestLog(t *testing.T) {
 	}
 }
 
-// Mount rejects duplicates and empty names; resolveMount falls back to
-// the first mount.
+// Mount rejects duplicates and empty names, and each mount answers
+// under its own /v1/{mount}/ prefix.
 func TestMountDiscipline(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
@@ -262,16 +262,25 @@ func TestMountDiscipline(t *testing.T) {
 	if got := s.Mounts(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Mounts() = %v", got)
 	}
-	var def, a FuncsResponse
-	_, body := get(s, "/funcs")
-	if err := json.Unmarshal(body, &def); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"a", "b"} {
+		var resp FuncsResponse
+		_, body := get(s, "/v1/"+name+"/funcs")
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.File != name {
+			t.Errorf("/v1/%s/funcs answered from mount %q", name, resp.File)
+		}
 	}
-	_, body = get(s, "/funcs?file=a")
-	if err := json.Unmarshal(body, &a); err != nil {
-		t.Fatal(err)
-	}
-	if def.File != "a" || a.File != "a" {
-		t.Errorf("default mount = %q / explicit = %q, want both \"a\"", def.File, a.File)
+}
+
+// Query routes exist only under /v1/{mount}/: the flat routes, with
+// or without a ?file= mount selector, answer 404.
+func TestFlatRoutesGone(t *testing.T) {
+	s := newTestServer(t, Options{})
+	for _, path := range []string{"/funcs", "/stats/1?file=x", "/stats/1?file=t"} {
+		if status, body := get(s, path); status != http.StatusNotFound {
+			t.Errorf("%s: status = %d, want 404\n%s", path, status, body)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"twpp/internal/cfg"
 	"twpp/internal/core"
-	"twpp/internal/dataflow"
 	"twpp/internal/minilang"
 	"twpp/internal/wpp"
 )
@@ -185,12 +184,10 @@ func (s *InterSlicer) frame(node *wpp.CallNode) (*frameData, error) {
 	if fd, ok := s.frames[key]; ok {
 		return fd, nil
 	}
-	ft := &s.TW.Funcs[node.Fn]
-	g, err := dataflow.Build(ft, node.TraceIdx)
+	path, err := s.TW.Funcs[node.Fn].Expand(node.TraceIdx)
 	if err != nil {
 		return nil, err
 	}
-	path := g.Path()
 	fd := &frameData{
 		path:       path,
 		dataDepAt:  make([][]frameDep, len(path)),

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 
 	"twpp/internal/cfg"
 	"twpp/internal/core"
@@ -203,7 +204,7 @@ func ExtractVsRawScanVariant(w *trace.RawWPP, format int, kind storage.Kind) err
 			return fmt.Errorf("f%d: %d extracted calls vs %d scanned", f, len(got), len(scanned))
 		}
 		for i := range got {
-			if !pathEqual(got[i], scanned[i]) {
+			if !slices.Equal(got[i], scanned[i]) {
 				return fmt.Errorf("f%d call %d: extracted trace differs from raw scan", f, i)
 			}
 		}
@@ -273,18 +274,9 @@ func expandCalls(root *wpp.CallNode, ft *core.FunctionTWPP) ([]wpp.PathTrace, er
 		if n.Fn != ft.Fn {
 			return nil
 		}
-		path, err := ft.Traces[n.TraceIdx].ToPath()
+		full, err := ft.Expand(n.TraceIdx)
 		if err != nil {
 			return err
-		}
-		dict := ft.Dicts[ft.DictOf[n.TraceIdx]]
-		var full wpp.PathTrace
-		for _, id := range path {
-			if chain, ok := dict[id]; ok {
-				full = append(full, chain...)
-			} else {
-				full = append(full, id)
-			}
 		}
 		out = append(out, full)
 		return nil
@@ -296,18 +288,6 @@ func expandCalls(root *wpp.CallNode, ft *core.FunctionTWPP) ([]wpp.PathTrace, er
 		return nil, err
 	}
 	return out, nil
-}
-
-func pathEqual(a, b wpp.PathTrace) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckCompactedDecode drives every compacted decode surface (open,
@@ -475,7 +455,7 @@ func EqualFunctionTWPP(a, b *core.FunctionTWPP) error {
 		}
 		for h, chain := range a.Dicts[i] {
 			other, ok := b.Dicts[i][h]
-			if !ok || !pathEqual(chain, other) {
+			if !ok || !slices.Equal(chain, other) {
 				return fmt.Errorf("dict %d chain for block %d differs", i, h)
 			}
 		}

@@ -111,7 +111,7 @@ func getJSON(ts *httptest.Server, path string, v any) error {
 
 func checkFuncsParity(ts *httptest.Server, cf *wppfile.CompactedFile) error {
 	var got server.FuncsResponse
-	if err := getJSON(ts, "/funcs", &got); err != nil {
+	if err := getJSON(ts, "/v1/t/funcs", &got); err != nil {
 		return err
 	}
 	fns := cf.Functions()
@@ -138,7 +138,7 @@ func checkFuncsParity(ts *httptest.Server, cf *wppfile.CompactedFile) error {
 
 func checkTraceParity(ts *httptest.Server, fn cfg.FuncID, ft *core.FunctionTWPP) error {
 	var got server.TraceResponse
-	if err := getJSON(ts, fmt.Sprintf("/trace/%d", fn), &got); err != nil {
+	if err := getJSON(ts, fmt.Sprintf("/v1/t/trace/%d", fn), &got); err != nil {
 		return err
 	}
 	if got.Func != int(fn) || got.Calls != ft.CallCount || got.Dicts != len(ft.Dicts) {
@@ -206,7 +206,7 @@ func checkQueryParity(ts *httptest.Server, fn cfg.FuncID, ft *core.FunctionTWPP)
 	}
 
 	var got server.QueryResponse
-	if err := getJSON(ts, "/query?"+q.Encode(), &got); err != nil {
+	if err := getJSON(ts, "/v1/t/query?"+q.Encode(), &got); err != nil {
 		return fmt.Errorf("f%d: %w", fn, err)
 	}
 	if got.True != want.True.String() || got.False != want.False.String() || got.Unresolved != want.Unresolved.String() {

@@ -35,6 +35,20 @@ type PathTrace []cfg.BlockID
 // not present expand to themselves).
 type Dictionary map[cfg.BlockID]PathTrace
 
+// Expand appends the compacted path tr to dst with every head in d
+// replaced by its chain, and returns the extended slice. It is the one
+// loop that materializes a dictionary expansion.
+func (d Dictionary) Expand(dst, tr PathTrace) PathTrace {
+	for _, id := range tr {
+		if chain, ok := d[id]; ok {
+			dst = append(dst, chain...)
+		} else {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
 // Words reports the dictionary's size in 32-bit words (head + length +
 // chain entries per chain), the unit the paper's tables use.
 func (d Dictionary) Words() int {
@@ -68,17 +82,7 @@ type FunctionTraces struct {
 // Expand returns unique trace i in its original (pre-dictionary)
 // block sequence.
 func (ft *FunctionTraces) Expand(i int) PathTrace {
-	tr := ft.Traces[i]
-	dict := ft.Dicts[ft.DictOf[i]]
-	out := make(PathTrace, 0, ft.OrigLen[i])
-	for _, id := range tr {
-		if chain, ok := dict[id]; ok {
-			out = append(out, chain...)
-		} else {
-			out = append(out, id)
-		}
-	}
-	return out
+	return ft.Dicts[ft.DictOf[i]].Expand(make(PathTrace, 0, ft.OrigLen[i]), ft.Traces[i])
 }
 
 // CallNode is an invocation in the compacted DCG: it references one of

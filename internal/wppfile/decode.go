@@ -85,14 +85,20 @@ func decodeFunctionBlockInto(data []byte, fn cfg.FuncID, lim limits, b *ExtractB
 			if err != nil {
 				return nil, err
 			}
-			if cl > uint64(c.Len()) {
-				return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: chain length %d too large", cl)
+			// A chain spans at least two blocks and starts at its head,
+			// once per dictionary: the encoder writes nothing else.
+			head := cfg.BlockID(h)
+			if _, dup := d[head]; dup || cl < 2 || cl > uint64(c.Len()) {
+				return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: bad chain of head %d (length %d, repeat %v)", h, cl, dup)
 			}
 			chain := b.allocChain(int(cl))
 			if err := readBlockIDs(c, chain); err != nil {
 				return nil, err
 			}
-			d[cfg.BlockID(h)] = chain
+			if chain[0] != head {
+				return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: chain of head %d starts at block %d", h, chain[0])
+			}
+			d[head] = chain
 		}
 	}
 	nt, err := c.Uvarint()

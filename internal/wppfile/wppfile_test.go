@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"twpp/internal/cfg"
+	"twpp/internal/cli"
 	"twpp/internal/core"
 	"twpp/internal/encoding"
+	"twpp/internal/lzw"
 	"twpp/internal/trace"
 	"twpp/internal/wpp"
 )
@@ -288,6 +290,62 @@ func TestOpenRejectsDuplicateIndexEntry(t *testing.T) {
 				t.Fatalf("index listing function %d twice: %v, want a CodeCorrupt error at Open", index[0].Fn, err)
 			}
 		})
+	}
+}
+
+// A DBB dictionary the encoder never writes is corrupt to every
+// extraction path, in either format, with valid checksums: a chain
+// shorter than two blocks, a chain that does not start at its head,
+// and a head repeated within one dictionary. Each image holds one
+// function whose one trace is the single block 9, with hand-made
+// block bytes, since a wpp.Dictionary cannot hold a head twice.
+func TestDecodeRejectsMalformedDictionary(t *testing.T) {
+	type chain struct {
+		head uint64
+		ids  []uint64
+	}
+	cases := map[string][]chain{
+		"empty chain":           {{9, nil}},
+		"one-block chain":       {{9, []uint64{9}}},
+		"chain not at its head": {{9, []uint64{4, 5}}},
+		"repeated head":         {{9, []uint64{9, 5}}, {9, []uint64{9, 5}}},
+	}
+	tr := core.FromPath(wpp.PathTrace{9})
+	dcg := lzw.Compress(EncodeDCG(&wpp.CallNode{Fn: 0, TraceIdx: 0}))
+	for name, chains := range cases {
+		blk := encoding.PutUvarint(nil, 1) // call count
+		blk = encoding.PutUvarint(blk, 1)  // dictionaries
+		blk = encoding.PutUvarint(blk, uint64(len(chains)))
+		for _, c := range chains {
+			blk = encoding.PutUvarint(blk, c.head)
+			blk = encoding.PutUvarint(blk, uint64(len(c.ids)))
+			for _, id := range c.ids {
+				blk = encoding.PutUvarint(blk, id)
+			}
+		}
+		blk = encoding.PutUvarint(blk, 1) // traces
+		blk = AppendTraceRecord(blk, 0, tr)
+		for _, format := range []int{FormatV1, FormatV2} {
+			e := indexEntry{Fn: 0, CallCount: 1, Length: len(blk)}
+			if format == FormatV2 {
+				e.CRC = Checksum(blk)
+			}
+			img := assembleImage([]string{"main"}, []indexEntry{e}, dcg, blk, format)
+			cf, err := OpenCompactedBytes(img, OpenOptions{VerifyChecksums: true})
+			if err != nil {
+				t.Fatalf("%s, v%d: open: %v", name, format, err)
+			}
+			_, owned := cf.ExtractFunction(0)
+			buf := GetExtractBuffer()
+			_, pooled := cf.ExtractFunctionInto(0, buf)
+			PutExtractBuffer(buf)
+			_, all := cf.ReadAll()
+			for op, err := range map[string]error{"ExtractFunction": owned, "ExtractFunctionInto": pooled, "ReadAll": all} {
+				if cli.ExitCode(err) != cli.ExitCorrupt {
+					t.Errorf("%s, v%d: %s = %v, want a corrupt error (exit %d)", name, format, op, err, cli.ExitCorrupt)
+				}
+			}
+		}
 	}
 }
 
