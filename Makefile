@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint vuln cover bench bench-mem perfbench-smoke serve-test ingest-test diff-test diff-check passes-test fuzz-seed ci
+.PHONY: build test race vet lint vuln cover bench bench-mem perfbench-smoke serve-test ingest-test diff-test diff-check passes-test fuzz-seed loc ci
 
 build:
 	$(GO) build ./...
@@ -162,5 +162,13 @@ fuzz-seed:
 	$(GO) test -run 'FuzzIngestFrame' ./internal/ingest/
 	$(GO) test -run 'FuzzDiffCompacted' ./internal/diff/
 	$(GO) test -run 'FuzzAnalyzePass' ./internal/passes/
+
+# Go line counts, the size measure CHANGES.md records per change:
+# non-test and test lines (wc -l) outside perfbench/ and .bench_build/.
+loc:
+	@files() { find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go' -type f -print; }; \
+	nontest=$$(files | grep -v '_test\.go$$' | xargs cat | wc -l); \
+	test=$$(files | grep '_test\.go$$' | xargs cat | wc -l); \
+	echo "non-test Go lines: $$nontest"; echo "test Go lines: $$test"
 
 ci: lint vuln build test race serve-test ingest-test diff-test diff-check passes-test fuzz-seed cover bench-mem perfbench-smoke

@@ -168,7 +168,7 @@ func (p *Program) LoadRedundancy(fn FuncID, tg *TGraph) ([]*LoadReport, error) {
 // should have been compiled with PerStatement granularity for
 // statement-level results.
 func (r *Run) MainTrace() *TGraph {
-	return dataflow.BuildFromPath(wpp.PathTrace(r.WPP.Traces[r.WPP.Root.Trace]))
+	return dataflow.BuildFromPath(wpp.PathTrace(r.WPP.Traces[r.WPP.DCG.Trace[0]]))
 }
 
 // NewSlicer prepares dynamic slicing for function fn over the

@@ -1,9 +1,12 @@
 package twpp_test
 
 import (
+	"context"
+	"path/filepath"
 	"testing"
 
 	"twpp"
+	"twpp/internal/cli"
 )
 
 const analysisSrc = `
@@ -109,5 +112,39 @@ func TestFacadeCurrencyAll(t *testing.T) {
 	}
 	if cur.Count() != 1 || non.Count() != 1 {
 		t.Errorf("currency split = %s / %s", cur, non)
+	}
+}
+
+// A parameter the pass does not document is a usage error (exit 2)
+// naming the lexically first unknown key, not silently ignored.
+func TestRunAnalysisRejectsUnknownParam(t *testing.T) {
+	prog, err := twpp.Compile(quickSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := prog.Trace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, _ := twpp.Compact(run.WPP)
+	path := filepath.Join(t.TempDir(), "t.twpp")
+	if err := twpp.WriteFile(path, tw); err != nil {
+		t.Fatal(err)
+	}
+	f, err := twpp.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx := context.Background()
+	if _, err := twpp.RunAnalysis(ctx, f, "cfg", "t", map[string]string{"func": "0"}); err != nil {
+		t.Fatalf("documented parameters: %v", err)
+	}
+	_, err = twpp.RunAnalysis(ctx, f, "cfg", "t", map[string]string{"func": "0", "trcae": "1", "file": "t"})
+	if got := cli.ExitCode(err); got != cli.ExitUsage {
+		t.Fatalf("unknown parameters: exit %d (%v), want %d", got, err, cli.ExitUsage)
+	}
+	if want := `unknown parameter "file" for analysis pass cfg`; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
 	}
 }

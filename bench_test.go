@@ -300,7 +300,7 @@ func BenchmarkFigure10(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tg := dataflow.BuildFromPath(wpp.PathTrace(run.WPP.Traces[run.WPP.Root.Trace]))
+	tg := dataflow.BuildFromPath(wpp.PathTrace(run.WPP.Traces[run.WPP.DCG.Trace[0]]))
 	crit := slicing.Criterion{Block: 14, Vars: []cfg.Loc{{Var: "Z"}}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -466,7 +466,7 @@ func BenchmarkAblationSeriesVsRawTimestamps(b *testing.B) {
 // them.
 func BenchmarkAblationDCGCompression(b *testing.B) {
 	c, _ := wpp.Compact(buildWorkload(b, "126.gcc-like"))
-	raw := wppfile.EncodeDCG(c.Root)
+	raw := wppfile.EncodeDCG(&c.DCG)
 	b.Run("lzw", func(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		var n int

@@ -122,8 +122,8 @@ func run(srcPath, inPath, input, funcName string, block int, varName string, ins
 		c, _ := wpp.Compact(w)
 		tw := core.FromCompacted(c)
 		s := slicing.NewInter(prog.CFG, tw)
-		node := findCall(tw.Root, cfg.FuncID(fnID))
-		if node == nil {
+		node := findCall(&tw.DCG, cfg.FuncID(fnID))
+		if node < 0 {
 			return fmt.Errorf("function %q was never called in this execution", funcName)
 		}
 		sl, err := s.Slice(node, crit)
@@ -203,29 +203,20 @@ func blockText(prog *twpp.Program, fn cfg.FuncID, b cfg.BlockID) string {
 // firstTraceOf returns the path trace of fn's first invocation
 // (preorder over the dynamic call graph), or nil.
 func firstTraceOf(w *twpp.RawWPP, fn cfg.FuncID) wpp.PathTrace {
-	var out wpp.PathTrace
-	w.Walk(func(n *trace.CallNode) {
-		if out == nil && n.Fn == fn {
-			out = wpp.PathTrace(w.Traces[n.Trace])
-		}
-	})
-	return out
-}
-
-// findCall returns the first DCG node invoking fn, preorder.
-func findCall(root *wpp.CallNode, fn cfg.FuncID) *wpp.CallNode {
-	if root == nil {
-		return nil
-	}
-	if root.Fn == fn {
-		return root
-	}
-	for _, c := range root.Children {
-		if n := findCall(c, fn); n != nil {
-			return n
-		}
+	if i := findCall(&w.DCG, fn); i >= 0 {
+		return wpp.PathTrace(w.Traces[w.DCG.Trace[i]])
 	}
 	return nil
+}
+
+// findCall returns the DCG row of fn's first invocation, or -1.
+func findCall(d *trace.DCG, fn cfg.FuncID) int {
+	for i, f := range d.Fn {
+		if f == fn {
+			return i
+		}
+	}
+	return -1
 }
 
 func parseInput(s string) ([]int64, error) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"twpp"
-	"twpp/internal/wpp"
 )
 
 // An interpreter-like workload: a dispatch loop over opcode handlers
@@ -113,12 +112,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	root, err := f.ReadDCG()
+	dcg, err := f.ReadDCG()
 	if err != nil {
 		log.Fatal(err)
 	}
-	uses := make(map[int]int)
-	countTraceUses(root, hottest, uses)
+	uses := make([]int, len(ft.Traces))
+	for i, fn := range dcg.Fn {
+		if fn == hottest {
+			uses[dcg.Trace[i]]++
+		}
+	}
 	fmt.Printf("\nhot paths of %s:\n", f.FuncNames[hottest])
 	for i := range ft.Traces {
 		path, err := ft.Expand(i)
@@ -159,20 +162,6 @@ func main() {
 	fmt.Printf("  raw WPP full scan:   %v (%.0fx slower)\n", tScan, float64(tScan)/float64(tIndexed))
 	fmt.Printf("  Sequitur grammar:    %v (%.0fx slower; grammar %d bytes vs TWPP file %d)\n",
 		tSeq, float64(tSeq)/float64(tIndexed), seq.Size(), fileSize(compPath))
-}
-
-// countTraceUses walks the DCG counting, per unique trace index of fn,
-// how many invocations used it.
-func countTraceUses(n *wpp.CallNode, fn twpp.FuncID, out map[int]int) {
-	if n == nil {
-		return
-	}
-	if n.Fn == fn {
-		out[n.TraceIdx]++
-	}
-	for _, c := range n.Children {
-		countTraceUses(c, fn, out)
-	}
 }
 
 func fileSize(path string) int64 {

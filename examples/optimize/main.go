@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Build the timestamp-annotated dynamic CFG of main's invocation.
-	mainTrace := wpp.PathTrace(run.WPP.Traces[run.WPP.Root.Trace])
+	mainTrace := wpp.PathTrace(run.WPP.Traces[run.WPP.DCG.Trace[0]])
 	tg := dataflow.BuildFromPath(mainTrace)
 
 	fmt.Println("load sites in main and their dynamic redundancy:")

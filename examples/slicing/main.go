@@ -55,7 +55,7 @@ func main() {
 	}
 	fmt.Printf("input N=%d, X=%v; program output: %v\n", input[0], input[1:], run.Output)
 
-	tg := dataflow.BuildFromPath(wpp.PathTrace(run.WPP.Traces[run.WPP.Root.Trace]))
+	tg := dataflow.BuildFromPath(wpp.PathTrace(run.WPP.Traces[run.WPP.DCG.Trace[0]]))
 	s := slicing.New(prog.CFG.Graphs[0], tg)
 
 	// Slice on Z at the breakpoint (statement 14).
@@ -100,7 +100,7 @@ func main() {
 	// calls as opaque.
 	c, _ := wpp.Compact(run.WPP)
 	inter := slicing.NewInter(prog.CFG, core.FromCompacted(c))
-	isl, err := inter.Slice(core.FromCompacted(c).Root, slicing.Criterion{
+	isl, err := inter.Slice(0, slicing.Criterion{
 		Block: 14, Vars: []cfg.Loc{{Var: "Z"}},
 	})
 	if err != nil {

@@ -77,7 +77,7 @@ func MeasureAblation(r *Result) (*Ablation, error) {
 	}
 
 	// DCG: the compacted call graph's stored bytes, raw vs LZW.
-	raw := wppfile.EncodeDCG(tw.Root)
+	raw := wppfile.EncodeDCG(&tw.DCG)
 	a.DCGRaw = len(raw)
 	a.DCGLZW = len(lzw.Compress(raw))
 	return a, nil

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"twpp/internal/cfg"
+	"twpp/internal/trace"
 	"twpp/internal/wpp"
 )
 
@@ -309,7 +310,7 @@ func (ft *FunctionTWPP) ExpandedLen(i int) int64 {
 // compacted DCG referencing per-function TWPP traces (paper Figure 7).
 type TWPP struct {
 	FuncNames []string
-	Root      *wpp.CallNode
+	DCG       trace.DCG
 	Funcs     []FunctionTWPP
 }
 
@@ -341,7 +342,7 @@ func FromCompactedWorkers(c *wpp.Compacted, workers int) *TWPP {
 func FromCompactedWorkersCtx(ctx context.Context, c *wpp.Compacted, workers int) (*TWPP, error) {
 	t := &TWPP{
 		FuncNames: c.FuncNames,
-		Root:      c.Root,
+		DCG:       c.DCG,
 		Funcs:     make([]FunctionTWPP, len(c.Funcs)),
 	}
 	convert := func(f int) {
@@ -366,7 +367,7 @@ func FromCompactedWorkersCtx(ctx context.Context, c *wpp.Compacted, workers int)
 func (t *TWPP) ToCompacted() (*wpp.Compacted, error) {
 	c := &wpp.Compacted{
 		FuncNames: t.FuncNames,
-		Root:      t.Root,
+		DCG:       t.DCG,
 		Funcs:     make([]wpp.FunctionTraces, len(t.Funcs)),
 	}
 	for f := range t.Funcs {

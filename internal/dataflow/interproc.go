@@ -6,7 +6,6 @@ import (
 
 	"twpp/internal/cfg"
 	"twpp/internal/core"
-	"twpp/internal/wpp"
 )
 
 // Interprocedural profile-limited analysis (paper §4.2: "our
@@ -19,7 +18,7 @@ import (
 //   - when backward propagation crosses a point where the traced call
 //     instance invoked children, the callees' net effects on the fact
 //     (computed by descending into their traces, memoized per DCG
-//     node) apply before the enclosing block's own effect — the
+//     row) apply before the enclosing block's own effect — the
 //     paper's DGEN/DKILL = GEN_f(T(n)) rule, instance-precise;
 //
 //   - slots that reach a trace's start (the paper's "unresolved")
@@ -61,20 +60,19 @@ func (r *InterResult) Frequency() float64 {
 }
 
 // interSolver carries the shared state of one interprocedural query.
+// Calls are DCG rows.
 type interSolver struct {
 	tw      *core.TWPP
 	prob    InterProblem
-	parents map[*wpp.CallNode]parentLink
+	parents []int // each row's caller, -1 for the root
 	graphs  map[graphKey]*TGraph
-	effects map[*wpp.CallNode]Effect
+	effects []Effect // each row's memoized net effect, or unknownEffect
 	res     *InterResult
 	depth   int
 }
 
-type parentLink struct {
-	node  *wpp.CallNode
-	index int // index of the child within node.Children
-}
+// unknownEffect marks a call whose net effect is not yet computed.
+const unknownEffect Effect = -1
 
 type graphKey struct {
 	fn  cfg.FuncID
@@ -83,29 +81,22 @@ type graphKey struct {
 
 // SolveInter answers a profile-limited query interprocedurally: does
 // the fact hold immediately before the executions of block `block` at
-// timestamps T within the given call instance (a node of the TWPP's
+// timestamps T within the given call instance (a row of the TWPP's
 // dynamic call graph)?
-func SolveInter(tw *core.TWPP, prob InterProblem, node *wpp.CallNode, block cfg.BlockID, T core.Seq) (*InterResult, error) {
+func SolveInter(tw *core.TWPP, prob InterProblem, node int, block cfg.BlockID, T core.Seq) (*InterResult, error) {
+	if node < 0 || node >= tw.DCG.Len() {
+		return nil, fmt.Errorf("dataflow: call %d is not part of this TWPP's DCG (%d calls)", node, tw.DCG.Len())
+	}
 	s := &interSolver{
 		tw:      tw,
 		prob:    prob,
-		parents: make(map[*wpp.CallNode]parentLink),
+		parents: tw.DCG.Parents(),
 		graphs:  make(map[graphKey]*TGraph),
-		effects: make(map[*wpp.CallNode]Effect),
+		effects: make([]Effect, tw.DCG.Len()),
 		res:     &InterResult{},
 	}
-	var link func(n *wpp.CallNode)
-	link = func(n *wpp.CallNode) {
-		for i, c := range n.Children {
-			s.parents[c] = parentLink{node: n, index: i}
-			link(c)
-		}
-	}
-	if tw.Root != nil {
-		link(tw.Root)
-	}
-	if _, ok := s.parents[node]; !ok && node != tw.Root {
-		return nil, fmt.Errorf("dataflow: call node is not part of this TWPP's DCG")
+	for i := range s.effects {
+		s.effects[i] = unknownEffect
 	}
 
 	g, err := s.graph(node)
@@ -130,14 +121,14 @@ func SolveInter(tw *core.TWPP, prob InterProblem, node *wpp.CallNode, block cfg.
 }
 
 // graph returns (building and caching) the expanded dynamic CFG of the
-// node's unique trace.
-func (s *interSolver) graph(node *wpp.CallNode) (*TGraph, error) {
-	key := graphKey{fn: node.Fn, idx: node.TraceIdx}
+// call's unique trace.
+func (s *interSolver) graph(node int) (*TGraph, error) {
+	key := graphKey{fn: s.tw.DCG.Fn[node], idx: s.tw.DCG.Trace[node]}
 	if g, ok := s.graphs[key]; ok {
 		return g, nil
 	}
-	ft := &s.tw.Funcs[node.Fn]
-	g, err := Build(ft, node.TraceIdx)
+	ft := &s.tw.Funcs[key.fn]
+	g, err := Build(ft, key.idx)
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +138,11 @@ func (s *interSolver) graph(node *wpp.CallNode) (*TGraph, error) {
 
 // callEffect computes the net effect of one traced call instance on
 // the fact: the last effect along its (expanded, recursively
-// descended) execution wins. Memoized per DCG node; distinct nodes
+// descended) execution wins. Memoized per DCG row; distinct calls
 // sharing a unique trace still differ in children, so memoization is
-// per node.
-func (s *interSolver) callEffect(node *wpp.CallNode) (Effect, error) {
-	if e, ok := s.effects[node]; ok {
+// per call.
+func (s *interSolver) callEffect(node int) (Effect, error) {
+	if e := s.effects[node]; e != unknownEffect {
 		return e, nil
 	}
 	s.res.Queries++
@@ -160,7 +151,7 @@ func (s *interSolver) callEffect(node *wpp.CallNode) (Effect, error) {
 		return Transparent, err
 	}
 	path := g.Path()
-	byPos := childrenByPos(node)
+	byPos := s.childrenByPos(node)
 	// Scan backward: children at position p ran after block p.
 	result := Transparent
 	for p := len(path); p >= 0 && result == Transparent; p-- {
@@ -172,18 +163,20 @@ func (s *interSolver) callEffect(node *wpp.CallNode) (Effect, error) {
 			result = e
 		}
 		if result == Transparent && p >= 1 {
-			result = s.prob.Effect(node.Fn, path[p-1])
+			result = s.prob.Effect(s.tw.DCG.Fn[node], path[p-1])
 		}
 	}
 	s.effects[node] = result
 	return result, nil
 }
 
-// childrenByPos groups a node's children by their call position.
-func childrenByPos(node *wpp.CallNode) map[int][]*wpp.CallNode {
-	out := make(map[int][]*wpp.CallNode, len(node.Children))
-	for i, c := range node.Children {
-		out[node.ChildPos[i]] = append(out[node.ChildPos[i]], c)
+// childrenByPos groups a call's children by their call position, each
+// group in call order.
+func (s *interSolver) childrenByPos(node int) map[int][]int {
+	d := &s.tw.DCG
+	out := make(map[int][]int)
+	for c := node + 1; c < d.End[node]; c = d.End[c] {
+		out[d.Pos[c]] = append(out[d.Pos[c]], c)
 	}
 	return out
 }
@@ -194,14 +187,15 @@ const maxInterDepth = 1 << 16
 // solveFrame propagates a timestamp-vector query backward within one
 // call instance. Each timestamp slot represents `weight` original
 // query instances (merging happens at caller continuations).
-func (s *interSolver) solveFrame(node *wpp.CallNode, g *TGraph, active map[cfg.BlockID]core.Seq, weight int) error {
+func (s *interSolver) solveFrame(node int, g *TGraph, active map[cfg.BlockID]core.Seq, weight int) error {
 	if s.depth >= maxInterDepth {
 		return fmt.Errorf("dataflow: interprocedural recursion too deep")
 	}
 	s.depth++
 	defer func() { s.depth-- }()
 
-	byPos := childrenByPos(node)
+	fn := s.tw.DCG.Fn[node]
+	byPos := s.childrenByPos(node)
 	// callPositions sorted for quick membership tests.
 	callPos := make([]int, 0, len(byPos))
 	for p := range byPos {
@@ -247,7 +241,7 @@ func (s *interSolver) solveFrame(node *wpp.CallNode, g *TGraph, active map[cfg.B
 						}
 					}
 					if eff == Transparent {
-						eff = s.prob.Effect(node.Fn, g.BlockAt(t))
+						eff = s.prob.Effect(fn, g.BlockAt(t))
 					}
 					s.res.Queries++
 					switch eff {
@@ -272,7 +266,7 @@ func (s *interSolver) solveFrame(node *wpp.CallNode, g *TGraph, active map[cfg.B
 				}
 				s.res.Queries++
 				routed = routed.Union(inter)
-				switch s.prob.Effect(node.Fn, m.Block) {
+				switch s.prob.Effect(fn, m.Block) {
 				case Gen:
 					s.res.True += weight * inter.Count()
 				case Kill:
@@ -292,33 +286,32 @@ func (s *interSolver) solveFrame(node *wpp.CallNode, g *TGraph, active map[cfg.B
 		return nil
 	}
 	// Continue in the caller at the recorded call position.
-	link, ok := s.parents[node]
-	if !ok {
+	if s.parents[node] < 0 {
 		// Entry of the root call: genuinely unresolved.
 		s.res.Unresolved += entryCount
 		return nil
 	}
 	s.res.Queries++
-	return s.continueInCaller(link, entryCount)
+	return s.continueInCaller(node, entryCount)
 }
 
-// continueInCaller resumes a query in the parent call instance, just
-// before the call that produced the child frame. Earlier sibling
-// calls at the same position apply first, then the enclosing block's
-// effect, then normal backward propagation from that block's instance.
-func (s *interSolver) continueInCaller(link parentLink, weight int) error {
-	parent := link.node
-	pos := parent.ChildPos[link.index]
+// continueInCaller resumes a query in the caller of call child, just
+// before that call. Earlier sibling calls at the same position apply
+// first, then the enclosing block's effect, then normal backward
+// propagation from that block's instance.
+func (s *interSolver) continueInCaller(child int, weight int) error {
+	parent := s.parents[child]
+	pos := s.tw.DCG.Pos[child]
 	g, err := s.graph(parent)
 	if err != nil {
 		return err
 	}
 	// Effects of earlier siblings called at the same position, newest
-	// first.
-	byPos := childrenByPos(parent)
+	// first; siblings are rows in call order.
+	byPos := s.childrenByPos(parent)
 	for i := len(byPos[pos]) - 1; i >= 0; i-- {
 		sib := byPos[pos][i]
-		if sibIndex(parent, sib) >= link.index {
+		if sib >= child {
 			continue
 		}
 		eff, err := s.callEffect(sib)
@@ -337,18 +330,17 @@ func (s *interSolver) continueInCaller(link parentLink, weight int) error {
 	if pos == 0 {
 		// Called before the parent executed any block: continue at the
 		// parent's own entry boundary.
-		link2, ok := s.parents[parent]
-		if !ok {
+		if s.parents[parent] < 0 {
 			s.res.Unresolved += weight
 			return nil
 		}
-		return s.continueInCaller(link2, weight)
+		return s.continueInCaller(parent, weight)
 	}
 	// The call happened during block instance `pos`; that block's
 	// statements before the call have executed. At block granularity
 	// we apply the whole block's effect (documented approximation).
 	blk := g.BlockAt(core.Timestamp(pos))
-	switch s.prob.Effect(parent.Fn, blk) {
+	switch s.prob.Effect(s.tw.DCG.Fn[parent], blk) {
 	case Gen:
 		s.res.True += weight
 		return nil
@@ -357,13 +349,4 @@ func (s *interSolver) continueInCaller(link parentLink, weight int) error {
 		return nil
 	}
 	return s.solveFrame(parent, g, map[cfg.BlockID]core.Seq{blk: {{Lo: core.Timestamp(pos), Hi: core.Timestamp(pos), Step: 1}}}, weight)
-}
-
-func sibIndex(parent *wpp.CallNode, child *wpp.CallNode) int {
-	for i, c := range parent.Children {
-		if c == child {
-			return i
-		}
-	}
-	return -1
 }

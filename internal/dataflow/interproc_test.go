@@ -36,20 +36,14 @@ func buildTWPP(t *testing.T, src string, input []int64) (*core.TWPP, *cfg.Progra
 	return core.FromCompacted(c), prog
 }
 
-// findNode returns the first DCG node (preorder) for function fn.
-func findNode(root *wpp.CallNode, fn cfg.FuncID) *wpp.CallNode {
-	if root == nil {
-		return nil
-	}
-	if root.Fn == fn {
-		return root
-	}
-	for _, c := range root.Children {
-		if n := findNode(c, fn); n != nil {
-			return n
+// findNode returns the first DCG row (preorder) for function fn, or -1.
+func findNode(tw *core.TWPP, fn cfg.FuncID) int {
+	for i, f := range tw.DCG.Fn {
+		if f == fn {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // availProblem builds an InterProblem for "an array value is
@@ -127,7 +121,7 @@ func poke(arr) {
 `
 	tw, prog := buildTWPP(t, src, nil)
 	prob := availProblem(prog)
-	mainNode := tw.Root
+	mainNode := 0
 
 	// Find the block of `var y = a[0];` in main.
 	g := prog.Graphs[0]
@@ -177,7 +171,7 @@ func peek(arr) {
 			}
 		}
 	}
-	res, err := SolveInter(tw, prob, tw.Root, yBlock, nil)
+	res, err := SolveInter(tw, prob, 0, yBlock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +199,8 @@ func child(arr) {
 	tw, prog := buildTWPP(t, src, nil)
 	prob := availProblem(prog)
 	childID := cfg.FuncID(prog.Src.Func("child").Index)
-	node := findNode(tw.Root, childID)
-	if node == nil {
+	node := findNode(tw, childID)
+	if node < 0 {
 		t.Fatal("child call not in DCG")
 	}
 	// The load arr[2] is in child's return statement; find its block:
@@ -259,7 +253,7 @@ func main() {
 			}
 		}
 	}
-	res, err := SolveInter(tw, prob, tw.Root, yBlock, nil)
+	res, err := SolveInter(tw, prob, 0, yBlock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +298,7 @@ func kill(arr) { arr[1] = 2; return 0; }
 				}
 			}
 		}
-		res, err := SolveInter(tw, prob, tw.Root, yBlock, nil)
+		res, err := SolveInter(tw, prob, 0, yBlock, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,26 +413,17 @@ func writer(arr, k) {
 	}
 
 	var got InterResult
-	var walk func(n *wpp.CallNode)
-	var firstErr error
-	walk = func(n *wpp.CallNode) {
-		if n.Fn == readerID && firstErr == nil {
-			res, err := SolveInter(tw, prob, n, loadBlock, nil)
-			if err != nil {
-				firstErr = err
-				return
-			}
-			got.True += res.True
-			got.False += res.False
-			got.Unresolved += res.Unresolved
+	for n, fn := range tw.DCG.Fn {
+		if fn != readerID {
+			continue
 		}
-		for _, ch := range n.Children {
-			walk(ch)
+		res, err := SolveInter(tw, prob, n, loadBlock, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	walk(tw.Root)
-	if firstErr != nil {
-		t.Fatal(firstErr)
+		got.True += res.True
+		got.False += res.False
+		got.Unresolved += res.Unresolved
 	}
 
 	wt, wf, wu := naiveInterOracle(w, prog, prob, readerID, loadBlock)
@@ -505,22 +490,18 @@ func writer(arr, k) {
 			}
 		}
 		var got InterResult
-		var walk func(n *wpp.CallNode)
-		walk = func(n *wpp.CallNode) {
-			if n.Fn == readerID {
-				res, err := SolveInter(tw, prob, n, loadBlock, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got.True += res.True
-				got.False += res.False
-				got.Unresolved += res.Unresolved
+		for n, fn := range tw.DCG.Fn {
+			if fn != readerID {
+				continue
 			}
-			for _, ch := range n.Children {
-				walk(ch)
+			res, err := SolveInter(tw, prob, n, loadBlock, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got.True += res.True
+			got.False += res.False
+			got.Unresolved += res.Unresolved
 		}
-		walk(tw.Root)
 		wt, wf, wu := naiveInterOracle(w, prog, prob, readerID, loadBlock)
 		if got.True != wt || got.False != wf || got.Unresolved != wu {
 			t.Fatalf("trial %d (iters=%d period=%d): SolveInter = %d/%d/%d, oracle = %d/%d/%d",
@@ -552,15 +533,16 @@ func main() {
 `
 	tw, prog := buildTWPP(t, src, nil)
 	prob := availProblem(prog)
-	if _, err := SolveInter(tw, prob, tw.Root, 99, nil); err == nil {
+	if _, err := SolveInter(tw, prob, 0, 99, nil); err == nil {
 		t.Error("unknown block: want error")
 	}
-	orphan := &wpp.CallNode{Fn: 0}
-	if _, err := SolveInter(tw, prob, orphan, 1, nil); err == nil {
-		t.Error("orphan node: want error")
+	for _, orphan := range []int{-1, tw.DCG.Len()} {
+		if _, err := SolveInter(tw, prob, orphan, 1, nil); err == nil {
+			t.Errorf("call %d outside the DCG: want error", orphan)
+		}
 	}
 	bad := core.Seq{{Lo: 9999, Hi: 9999, Step: 1}}
-	if _, err := SolveInter(tw, prob, tw.Root, 1, bad); err == nil {
+	if _, err := SolveInter(tw, prob, 0, 1, bad); err == nil {
 		t.Error("bad timestamps: want error")
 	}
 }

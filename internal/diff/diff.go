@@ -39,6 +39,7 @@ import (
 	"twpp/internal/core"
 	"twpp/internal/encoding"
 	"twpp/internal/segment"
+	"twpp/internal/trace"
 	"twpp/internal/wpp"
 	"twpp/internal/wppfile"
 )
@@ -225,11 +226,11 @@ func summarizeOnce(ctx context.Context, c wppfile.Container) (map[string]*funcSu
 		}
 		fts[fn] = ft
 	}
-	root, err := c.ReadDCG()
+	dcg, err := c.ReadDCG()
 	if err != nil {
 		return nil, 0, err
 	}
-	uses, err := useCounts(root, fts)
+	uses, err := useCounts(&dcg, fts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -274,33 +275,22 @@ func summarizeOnce(ctx context.Context, c wppfile.Container) (map[string]*funcSu
 	return out, len(fns), nil
 }
 
-// useCounts walks the DCG iteratively (hostile inputs can nest a
-// million frames deep — the decoder allows it, so the walker must not
-// recurse) and counts invocations per (function, unique trace).
-func useCounts(root *wpp.CallNode, fts map[cfg.FuncID]*core.FunctionTWPP) (map[cfg.FuncID][]int, error) {
+// useCounts counts invocations per (function, unique trace), one DCG
+// row at a time.
+func useCounts(d *trace.DCG, fts map[cfg.FuncID]*core.FunctionTWPP) (map[cfg.FuncID][]int, error) {
 	out := make(map[cfg.FuncID][]int, len(fts))
-	if root == nil {
-		return out, nil
-	}
-	stack := []*wpp.CallNode{root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == nil {
-			continue
-		}
-		ft, ok := fts[n.Fn]
-		if !ok || n.TraceIdx < 0 || n.TraceIdx >= len(ft.Traces) {
+	for i, fn := range d.Fn {
+		ft, ok := fts[fn]
+		if ti := d.Trace[i]; !ok || ti < 0 || ti >= len(ft.Traces) {
 			return nil, encoding.Errf(encoding.CodeCorrupt, 0,
-				"diff: DCG references function %d trace %d, not in container", n.Fn, n.TraceIdx)
+				"diff: DCG references function %d trace %d, not in container", fn, ti)
 		}
-		u := out[n.Fn]
+		u := out[fn]
 		if u == nil {
 			u = make([]int, len(ft.Traces))
-			out[n.Fn] = u
+			out[fn] = u
 		}
-		u[n.TraceIdx]++
-		stack = append(stack, n.Children...)
+		u[d.Trace[i]]++
 	}
 	return out, nil
 }

@@ -122,7 +122,7 @@ func Figure10And11(w io.Writer) error {
 		return err
 	}
 	wppTrace := b.Finish()
-	tg := dataflow.BuildFromPath(wpp.PathTrace(wppTrace.Traces[wppTrace.Root.Trace]))
+	tg := dataflow.BuildFromPath(wpp.PathTrace(wppTrace.Traces[wppTrace.DCG.Trace[0]]))
 
 	s := slicing.New(p.Graphs[p.MainID()], tg)
 	crit := slicing.Criterion{Block: 14, Vars: []cfg.Loc{{Var: "Z"}}}

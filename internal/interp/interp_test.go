@@ -276,27 +276,31 @@ func TestTracedExecution(t *testing.T) {
 	}
 	// All five calls of f follow the identical path (3 iterations):
 	// the traces must be equal.
-	f := w.Root.Children
+	d := &w.DCG
+	var f []int
+	for c := 1; c < d.End[0]; c = d.End[c] {
+		f = append(f, c)
+	}
 	if len(f) != 5 {
 		t.Fatalf("main has %d children", len(f))
 	}
-	first := w.Traces[f[0].Trace]
+	first := w.Traces[d.Trace[f[0]]]
 	for i, c := range f {
-		if !reflect.DeepEqual(w.Traces[c.Trace], first) {
-			t.Errorf("call %d trace %v != %v", i, w.Traces[c.Trace], first)
+		if !reflect.DeepEqual(w.Traces[d.Trace[c]], first) {
+			t.Errorf("call %d trace %v != %v", i, w.Traces[d.Trace[c]], first)
 		}
 	}
 	// Every trace ends at the function's exit block.
-	w.Walk(func(n *trace.CallNode) {
-		tr := w.Traces[n.Trace]
-		gph := g.Graph(n.Fn)
+	for i, fn := range d.Fn {
+		tr := w.Traces[d.Trace[i]]
+		gph := g.Graph(fn)
 		if len(tr) == 0 || tr[len(tr)-1] != gph.Exit.ID {
-			t.Errorf("trace of %s does not end at exit: %v", w.FuncName(n.Fn), tr)
+			t.Errorf("trace of %s does not end at exit: %v", w.FuncName(fn), tr)
 		}
 		if tr[0] != gph.Entry.ID {
-			t.Errorf("trace of %s does not start at entry: %v", w.FuncName(n.Fn), tr)
+			t.Errorf("trace of %s does not start at entry: %v", w.FuncName(fn), tr)
 		}
-	})
+	}
 	// The linear form must be parseable back.
 	if !trace.Equal(w, rebuild(t, w)) {
 		t.Error("traced WPP did not round trip through Linear")
@@ -311,10 +315,10 @@ func TestTraceBlockIDsAreValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := b.Finish()
-	w.Walk(func(n *trace.CallNode) {
-		gph := g.Graph(n.Fn)
+	for i, fn := range w.DCG.Fn {
+		gph := g.Graph(fn)
 		prev := cfg.BlockID(0)
-		for _, id := range w.Traces[n.Trace] {
+		for _, id := range w.Traces[w.DCG.Trace[i]] {
 			blk := gph.Block(id)
 			if blk == nil {
 				t.Fatalf("trace mentions unknown block %d", id)
@@ -333,5 +337,5 @@ func TestTraceBlockIDsAreValid(t *testing.T) {
 			}
 			prev = id
 		}
-	})
+	}
 }

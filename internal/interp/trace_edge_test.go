@@ -27,7 +27,18 @@ func rebuild(t *testing.T, w *trace.RawWPP) *trace.RawWPP {
 // callsPerFunc counts w's invocations per function id.
 func callsPerFunc(w *trace.RawWPP) map[cfg.FuncID]int {
 	out := make(map[cfg.FuncID]int)
-	w.Walk(func(n *trace.CallNode) { out[n.Fn]++ })
+	for _, fn := range w.DCG.Fn {
+		out[fn]++
+	}
+	return out
+}
+
+// kids lists call i's children rows in call order.
+func kids(w *trace.RawWPP, i int) []int {
+	var out []int
+	for c := i + 1; c < w.DCG.End[i]; c = w.DCG.End[c] {
+		out = append(out, c)
+	}
 	return out
 }
 
@@ -67,11 +78,11 @@ func main() {
 func check(v) { return v; }
 `
 	w, g := traceOf(t, src, nil)
-	if len(w.Root.Children) != 1 {
-		t.Fatalf("children = %d", len(w.Root.Children))
+	if k := kids(w, 0); len(k) != 1 {
+		t.Fatalf("children = %d", len(k))
 	}
-	pos := w.Root.ChildPos[0]
-	mainTrace := w.Traces[w.Root.Trace]
+	pos := w.DCG.Pos[1]
+	mainTrace := w.Traces[w.DCG.Trace[0]]
 	if pos < 1 || pos > len(mainTrace) {
 		t.Fatalf("child position %d out of range (trace %v)", pos, mainTrace)
 	}
@@ -107,12 +118,12 @@ func outer() {
 func inner() { return 41; }
 `
 	w, _ := traceOf(t, src, nil)
-	outerNode := w.Root.Children[0]
-	if len(outerNode.Children) != 1 {
-		t.Fatalf("outer children = %d", len(outerNode.Children))
+	outer := kids(w, 0)[0]
+	if k := kids(w, outer); len(k) != 1 {
+		t.Fatalf("outer children = %d", len(k))
 	}
-	outerTrace := w.Traces[outerNode.Trace]
-	pos := outerNode.ChildPos[0]
+	outerTrace := w.Traces[w.DCG.Trace[outer]]
+	pos := w.DCG.Pos[outer+1]
 	if pos >= len(outerTrace) {
 		t.Errorf("inner call recorded after the exit block: pos %d, trace %v", pos, outerTrace)
 	}
@@ -127,9 +138,7 @@ func c(n) { return n; }
 `
 	w, _ := traceOf(t, src, nil)
 	depth := 0
-	n := w.Root
-	for len(n.Children) > 0 {
-		n = n.Children[0]
+	for n := 0; len(kids(w, n)) > 0; n = kids(w, n)[0] {
 		depth++
 	}
 	if depth != 3 {
@@ -160,14 +169,12 @@ func fact(n) {
 	}
 	// The recursion chain must be a path in the DCG: fact -> fact ->
 	// fact -> fact.
-	n := w.Root.Children[0]
 	chain := 1
-	for len(n.Children) > 0 {
-		n = n.Children[0]
-		if n.Fn != factID {
-			t.Fatalf("unexpected callee %d in recursion chain", n.Fn)
+	for n := kids(w, 0)[0]; len(kids(w, n)) > 0; chain++ {
+		n = kids(w, n)[0]
+		if w.DCG.Fn[n] != factID {
+			t.Fatalf("unexpected callee %d in recursion chain", w.DCG.Fn[n])
 		}
-		chain++
 	}
 	if chain != 4 {
 		t.Errorf("recursion chain length = %d, want 4", chain)
@@ -187,7 +194,7 @@ func main() {
 func probe() { return 1; }
 `
 	w, _ := traceOf(t, src, nil)
-	if len(w.Root.Children) != 0 {
-		t.Errorf("short-circuited calls were traced: %d children", len(w.Root.Children))
+	if k := kids(w, 0); len(k) != 0 {
+		t.Errorf("short-circuited calls were traced: %d children", len(k))
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"twpp/internal/cli"
 	"twpp/internal/core"
 	"twpp/internal/encoding"
-	"twpp/internal/wpp"
 	"twpp/internal/wppfile"
 )
 
@@ -172,31 +171,24 @@ func iterations(ctx context.Context, ft *core.FunctionTWPP, i int) ([][]int, err
 }
 
 // traceUses counts, per unique trace of fn, how many invocations used
-// it, by walking the dynamic call graph iteratively (DeepRecursion
-// profiles produce DCGs thousands of nodes deep, so no recursion). A
-// call of fn that names a trace outside fn's n traces is corrupt, as
-// it is to ReadAll and diff.
+// it, one DCG row at a time. A call of fn that names a trace outside
+// fn's n traces is corrupt, as it is to ReadAll and diff.
 func traceUses(c wppfile.Container, fn cfg.FuncID, n int) ([]int, error) {
 	uses := make([]int, n)
-	root, err := c.ReadDCG()
+	dcg, err := c.ReadDCG()
 	if err != nil {
 		return nil, err
 	}
-	stack := []*wpp.CallNode{root}
-	for len(stack) > 0 {
-		node := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if node == nil {
+	for i, f := range dcg.Fn {
+		if f != fn {
 			continue
 		}
-		if node.Fn == fn {
-			if node.TraceIdx < 0 || node.TraceIdx >= n {
-				return nil, encoding.Errf(encoding.CodeCorrupt, 0,
-					"kpaths: DCG node references function %d trace %d, not in container", fn, node.TraceIdx)
-			}
-			uses[node.TraceIdx]++
+		ti := dcg.Trace[i]
+		if ti < 0 || ti >= n {
+			return nil, encoding.Errf(encoding.CodeCorrupt, 0,
+				"kpaths: DCG node references function %d trace %d, not in container", fn, ti)
 		}
-		stack = append(stack, node.Children...)
+		uses[ti]++
 	}
 	return uses, nil
 }

@@ -129,7 +129,7 @@ func TestKPathsRejectsMissingTrace(t *testing.T) {
 	b.ExitCall()
 	c, _ := wpp.Compact(b.Finish())
 	tw := core.FromCompacted(c)
-	tw.Root.Children[1].TraceIdx = 1
+	tw.DCG.Trace[2] = 1 // main's second call of f
 	data, err := wppfile.EncodeCompacted(tw)
 	if err != nil {
 		t.Fatal(err)

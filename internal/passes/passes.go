@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -225,11 +226,22 @@ func Infos() []Info {
 
 // Run executes the named pass against c. Unknown names match
 // ErrUnknown (and ErrNotFound, so serving layers answer 404 without a
-// special case).
+// special case). A parameter that none of the pass's ParamDocs names
+// is a usage error naming the lexically first such key, so a
+// misspelled parameter is never silently ignored.
 func Run(ctx context.Context, name string, c wppfile.Container, p Params) (any, error) {
 	pass, ok := Get(name)
 	if !ok {
 		return nil, fmt.Errorf("passes: no analysis pass %q: %w", name, errors.Join(ErrUnknown, ErrNotFound))
+	}
+	unknown := ""
+	for key := range p.Values {
+		if (unknown == "" || key < unknown) && !slices.ContainsFunc(pass.Params, func(d ParamDoc) bool { return d.Name == key }) {
+			unknown = key
+		}
+	}
+	if unknown != "" {
+		return nil, cli.Usagef("unknown parameter %q for analysis pass %s", unknown, name)
 	}
 	return pass.Run(ctx, c, p)
 }

@@ -32,7 +32,7 @@ func runMain(t *testing.T, src string, input []int64) (*cfg.Program, *dataflow.T
 		t.Fatal(err)
 	}
 	w := b.Finish()
-	return p, dataflow.BuildFromPath(wpp.PathTrace(w.Traces[w.Root.Trace]))
+	return p, dataflow.BuildFromPath(wpp.PathTrace(w.Traces[w.DCG.Trace[0]]))
 }
 
 func TestFullyRedundantLoad(t *testing.T) {

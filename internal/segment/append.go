@@ -108,7 +108,7 @@ func commit(dir string, t *core.TWPP, opts WriteOptions, man *Manifest) (*Manife
 		// The session's own call graph rides in its first segment's
 		// bytes either way; it becomes the container DCG only when no
 		// live segment carries one.
-		carryRoot := i == 0 && t.Root != nil
+		carryRoot := i == 0 && t.DCG.Len() > 0
 		seg := buildSegmentTWPP(t, plan, carryRoot)
 		entry, err := sealSegment(dir, seg, gen, i, opts.Workers, session, carryRoot && !hasDCG)
 		if err != nil {

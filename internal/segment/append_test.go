@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"twpp/internal/cfg"
@@ -52,12 +53,12 @@ func TestAppendSession(t *testing.T) {
 			t.Errorf("fn %d: %v", fn, err)
 		}
 	}
-	root, err := set.ReadDCG()
+	dcg, err := set.ReadDCG()
 	if err != nil {
 		t.Fatalf("ReadDCG: %v", err)
 	}
-	if root.Fn != t1.Root.Fn || root.TraceIdx != t1.Root.TraceIdx {
-		t.Errorf("DCG root (%d,%d), want (%d,%d)", root.Fn, root.TraceIdx, t1.Root.Fn, t1.Root.TraceIdx)
+	if !reflect.DeepEqual(dcg, t1.DCG) {
+		t.Errorf("DCG differs from session 1's")
 	}
 }
 

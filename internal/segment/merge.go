@@ -227,11 +227,11 @@ func (m *Merger) fold(ctx context.Context, v *setView, lo, hi int) (Entry, error
 	// unchanged set-global trace indices — into the merged segment.
 	carryDCG := v.dcgSeg >= lo && v.dcgSeg < hi
 	if carryDCG {
-		root, err := v.segs[v.dcgSeg].ReadDCG()
+		dcg, err := v.segs[v.dcgSeg].ReadDCG()
 		if err != nil {
 			return Entry{}, err
 		}
-		t.Root = root
+		t.DCG = dcg
 	}
 
 	return sealSegment(m.set.dir, t, v.man.Generation+1, lo, m.opts.Workers, foldSession(v.man, lo, hi), carryDCG)

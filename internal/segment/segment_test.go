@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -197,12 +198,12 @@ func TestMultiSessionAppend(t *testing.T) {
 	}
 
 	// The DCG must be session 1's, valid against the merged numbering.
-	root, err := set.ReadDCG()
+	dcg, err := set.ReadDCG()
 	if err != nil {
 		t.Fatalf("ReadDCG: %v", err)
 	}
-	if root.Fn != t1.Root.Fn || root.TraceIdx != t1.Root.TraceIdx {
-		t.Errorf("DCG root (%d,%d), want (%d,%d)", root.Fn, root.TraceIdx, t1.Root.Fn, t1.Root.TraceIdx)
+	if !reflect.DeepEqual(dcg, t1.DCG) {
+		t.Errorf("DCG differs from session 1's")
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 	"twpp/internal/cfg"
 	"twpp/internal/core"
 	"twpp/internal/encoding"
-	"twpp/internal/wpp"
+	"twpp/internal/trace"
 	"twpp/internal/wppfile"
 )
 
@@ -480,14 +480,14 @@ func (s *Set) ExtractFunctionIntoCtx(ctx context.Context, fn cfg.FuncID, buf *Bu
 
 // ReadDCG decodes the dynamic call graph from the FlagDCG segment.
 // Its trace indices are set-global (see the package comment).
-func (s *Set) ReadDCG() (*wpp.CallNode, error) {
+func (s *Set) ReadDCG() (trace.DCG, error) {
 	v, err := s.acquire()
 	if err != nil {
-		return nil, err
+		return trace.DCG{}, err
 	}
 	defer v.release()
 	if v.dcgSeg < 0 {
-		return nil, encoding.Errf(encoding.CodeCorrupt, 0,
+		return trace.DCG{}, encoding.Errf(encoding.CodeCorrupt, 0,
 			"segment: no segment carries the dynamic call graph")
 	}
 	return v.segs[v.dcgSeg].ReadDCG()
@@ -503,9 +503,9 @@ func (s *Set) ReadAll() (*core.TWPP, error) {
 		return nil, err
 	}
 	defer v.release()
-	readDCG := func() (*wpp.CallNode, error) {
+	readDCG := func() (trace.DCG, error) {
 		if v.dcgSeg < 0 {
-			return nil, nil
+			return trace.DCG{}, nil
 		}
 		return v.segs[v.dcgSeg].ReadDCG()
 	}

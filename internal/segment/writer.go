@@ -188,7 +188,7 @@ func buildSegmentTWPP(t *core.TWPP, plan []window, carryDCG bool) *core.TWPP {
 		seg.Funcs[f].Fn = cfg.FuncID(f)
 	}
 	if carryDCG {
-		seg.Root = t.Root
+		seg.DCG = t.DCG
 	}
 	for _, w := range plan {
 		src := &t.Funcs[w.Fn]

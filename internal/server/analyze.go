@@ -36,8 +36,8 @@ func passParams(r *http.Request, m *Mount) (passes.Params, error) {
 	return passes.Params{Source: m.name, Values: vals}, nil
 }
 
-// passHandler adapts one registered pass to its dedicated route.
-func (s *Server) passHandler(p *passes.Pass) handlerFunc {
+// passHandler adapts the registered pass name to its dedicated route.
+func (s *Server) passHandler(name string) handlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) error {
 		m, err := s.resolveMount(r)
 		if err != nil {
@@ -47,7 +47,7 @@ func (s *Server) passHandler(p *passes.Pass) handlerFunc {
 		if err != nil {
 			return err
 		}
-		res, err := p.Run(r.Context(), m.file, params)
+		res, err := passes.Run(r.Context(), name, m.file, params)
 		if err != nil {
 			return err
 		}

@@ -109,12 +109,13 @@ func TestETagNotModified(t *testing.T) {
 // bytes, no handler run, no decode work.
 func TestResponseCacheHit(t *testing.T) {
 	s := newTestServer(t, Options{CacheEntries: -1}) // decode cache off: any decode moves the miss counter
-	first := getH(s, "/v1/t/stats/1", nil)
+	const path = "/v1/t/query?func=1&block=2&gen=1"
+	first := getH(s, path, nil)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first GET: status = %d", first.Code)
 	}
 	m0, b0, _ := decodeWork(s)
-	second := getH(s, "/v1/t/stats/1", nil)
+	second := getH(s, path, nil)
 	if second.Code != http.StatusOK {
 		t.Fatalf("second GET: status = %d", second.Code)
 	}
@@ -141,7 +142,7 @@ func TestResponseCacheHit(t *testing.T) {
 		t.Errorf("twpp_respcache_misses_total = %d, want 1 (only the first GET)", got)
 	}
 	// Different query parameters are different cache entries.
-	if rec := getH(s, "/v1/t/stats/1?pad=x", nil); rec.Code != http.StatusOK {
+	if rec := getH(s, path+",3", nil); rec.Code != http.StatusOK {
 		t.Fatalf("param variant: status = %d", rec.Code)
 	}
 	if got := s.reg.Counter("twpp_respcache_hits_total").Value(); got != 1 {
@@ -243,7 +244,7 @@ func TestRespCacheDisabled(t *testing.T) {
 func TestRespCacheBounded(t *testing.T) {
 	s := newTestServer(t, Options{ResponseCacheEntries: 16})
 	for i := 0; i < 200; i++ {
-		if rec := getH(s, "/v1/t/stats/1?pad="+strings.Repeat("x", i%37+1), nil); rec.Code != http.StatusOK {
+		if rec := getH(s, "/v1/t/query?func=1&block=2&gen="+strings.Repeat("1,", i%37)+"1", nil); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: status = %d", i, rec.Code)
 		}
 	}

@@ -210,7 +210,7 @@ func New(opts Options) *Server {
 	// and listed by the discovery endpoint.
 	for _, p := range passes.All() {
 		if p.Route != "" {
-			registerQuery(p.Route, s.passHandler(p))
+			registerQuery(p.Route, s.passHandler(p.Name))
 		}
 	}
 	registerQuery("/analyze/{pass}", s.handleAnalyze)

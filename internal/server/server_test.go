@@ -150,6 +150,8 @@ func TestUsage400(t *testing.T) {
 		"/v1/t/query?func=1",                 // missing block
 		"/v1/t/query?func=1&block=2&gen=a,b", // bad gen list
 		"/v1/t/cfg/1?trace=-3",               // negative trace index
+		"/v1/t/cfg/1?trcae=1",                // misspelled parameter
+		"/v1/t/stats/1?file=t",               // parameter the pass does not take
 	} {
 		status, body := get(s, path)
 		if status != http.StatusBadRequest {

@@ -67,10 +67,6 @@ type frameData struct {
 	dataDepAt [][]frameDep
 	// ctrlDepAt[t-1] is the controlling branch instance (0 = none).
 	ctrlDepAt []core.Timestamp
-	// callAt[t-1] is the index range of children called at position t
-	// (child call positions are path positions; index into the node's
-	// Children is resolved per node since positions align).
-	callsAtPos map[int]bool
 	// retTimes lists the times at which return-carrying blocks (Ret
 	// with a value) executed, ascending.
 	retTimes []core.Timestamp
@@ -81,12 +77,13 @@ type frameDep struct {
 	defT core.Timestamp
 }
 
-// InterSlicer prepares shared state for interprocedural slicing.
+// InterSlicer prepares shared state for interprocedural slicing. It
+// names a call instance by its row in the TWPP's dynamic call graph.
 type InterSlicer struct {
 	Prog *cfg.Program
 	TW   *core.TWPP
 
-	parents map[*wpp.CallNode]parentRef
+	parents []int // each call's caller row, -1 for the root
 	frames  map[frameKey]*frameData
 	// uses/defs/ctrl are static per-function tables.
 	uses map[cfg.FuncID]map[cfg.BlockID][]cfg.Loc
@@ -97,33 +94,18 @@ type InterSlicer struct {
 	arrayWriter map[cfg.FuncID]bool
 }
 
-type parentRef struct {
-	node  *wpp.CallNode
-	index int
-}
-
 // NewInter builds an interprocedural slicer for the program and its
 // TWPP.
 func NewInter(prog *cfg.Program, tw *core.TWPP) *InterSlicer {
 	s := &InterSlicer{
 		Prog:        prog,
 		TW:          tw,
-		parents:     make(map[*wpp.CallNode]parentRef),
+		parents:     tw.DCG.Parents(),
 		frames:      make(map[frameKey]*frameData),
 		uses:        make(map[cfg.FuncID]map[cfg.BlockID][]cfg.Loc),
 		defs:        make(map[cfg.FuncID]map[cfg.BlockID][]cfg.Loc),
 		ctrl:        make(map[cfg.FuncID]map[cfg.BlockID][]cfg.BlockID),
 		arrayWriter: make(map[cfg.FuncID]bool),
-	}
-	var link func(n *wpp.CallNode)
-	link = func(n *wpp.CallNode) {
-		for i, c := range n.Children {
-			s.parents[c] = parentRef{node: n, index: i}
-			link(c)
-		}
-	}
-	if tw.Root != nil {
-		link(tw.Root)
 	}
 	for f, g := range prog.Graphs {
 		fid := cfg.FuncID(f)
@@ -178,23 +160,22 @@ func (s *InterSlicer) computeArrayWriters() {
 }
 
 // frame returns (building and caching) the replayed dependence data of
-// a call node's unique trace.
-func (s *InterSlicer) frame(node *wpp.CallNode) (*frameData, error) {
-	key := frameKey{fn: node.Fn, idx: node.TraceIdx}
+// a call's unique trace.
+func (s *InterSlicer) frame(node int) (*frameData, error) {
+	key := frameKey{fn: s.TW.DCG.Fn[node], idx: s.TW.DCG.Trace[node]}
 	if fd, ok := s.frames[key]; ok {
 		return fd, nil
 	}
-	path, err := s.TW.Funcs[node.Fn].Expand(node.TraceIdx)
+	path, err := s.TW.Funcs[key.fn].Expand(key.idx)
 	if err != nil {
 		return nil, err
 	}
 	fd := &frameData{
-		path:       path,
-		dataDepAt:  make([][]frameDep, len(path)),
-		ctrlDepAt:  make([]core.Timestamp, len(path)),
-		callsAtPos: make(map[int]bool),
+		path:      path,
+		dataDepAt: make([][]frameDep, len(path)),
+		ctrlDepAt: make([]core.Timestamp, len(path)),
 	}
-	graph := s.Prog.Graph(node.Fn)
+	graph := s.Prog.Graph(key.fn)
 	// Array locations visible in this function: a call to an
 	// array-writing callee must count as defining them (arrays are
 	// by-reference, so callee stores reach the caller's arrays; the
@@ -224,17 +205,17 @@ func (s *InterSlicer) frame(node *wpp.CallNode) (*frameData, error) {
 	lastExec := make(map[cfg.BlockID]core.Timestamp)
 	for i, b := range path {
 		t := core.Timestamp(i + 1)
-		for _, u := range s.uses[node.Fn][b] {
+		for _, u := range s.uses[key.fn][b] {
 			fd.dataDepAt[i] = append(fd.dataDepAt[i], frameDep{loc: u, defT: lastDef[u]})
 		}
 		var ctl core.Timestamp
-		for _, cd := range s.ctrl[node.Fn][b] {
+		for _, cd := range s.ctrl[key.fn][b] {
 			if le := lastExec[cd]; le > ctl && le < t {
 				ctl = le
 			}
 		}
 		fd.ctrlDepAt[i] = ctl
-		for _, d := range s.defs[node.Fn][b] {
+		for _, d := range s.defs[key.fn][b] {
 			lastDef[d] = t
 		}
 		if writerCallBlock[b] {
@@ -253,29 +234,21 @@ func (s *InterSlicer) frame(node *wpp.CallNode) (*frameData, error) {
 	return fd, nil
 }
 
-// callsAt returns the children of node invoked at path position pos,
-// in call order.
-func callsAt(node *wpp.CallNode, pos int) []*wpp.CallNode {
-	var out []*wpp.CallNode
-	for i, c := range node.Children {
-		if node.ChildPos[i] == pos {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// instance identifies one statement execution across the WPP.
+// instance identifies one statement execution across the WPP: a call
+// row and a timestamp in its trace.
 type instanceKey struct {
-	node *wpp.CallNode
+	node int
 	t    core.Timestamp
 }
 
 // Slice computes the interprocedural instance-precise slice from the
-// given criterion instance inside the given call node. Criterion
-// semantics match Approach3: Time 0 selects the block's last
+// given criterion instance inside the given call (a DCG row).
+// Criterion semantics match Approach3: Time 0 selects the block's last
 // execution in that call; Vars default to the block's uses.
-func (s *InterSlicer) Slice(node *wpp.CallNode, crit Criterion) (*InterSlice, error) {
+func (s *InterSlicer) Slice(node int, crit Criterion) (*InterSlice, error) {
+	if node < 0 || node >= s.TW.DCG.Len() {
+		return nil, fmt.Errorf("slicing: call %d is not part of this TWPP's DCG (%d calls)", node, s.TW.DCG.Len())
+	}
 	fd, err := s.frame(node)
 	if err != nil {
 		return nil, err
@@ -294,11 +267,11 @@ func (s *InterSlicer) Slice(node *wpp.CallNode, crit Criterion) (*InterSlice, er
 		return nil, fmt.Errorf("slicing: block %d did not execute at time %d in this call", crit.Block, t)
 	}
 
-	sites := map[SliceSite]bool{{Fn: node.Fn, Block: crit.Block}: true}
+	sites := map[SliceSite]bool{{Fn: s.TW.DCG.Fn[node], Block: crit.Block}: true}
 	seen := map[instanceKey]bool{}
 	var work []instanceKey
 
-	push := func(n *wpp.CallNode, ti core.Timestamp) {
+	push := func(n int, ti core.Timestamp) {
 		if ti <= 0 {
 			return
 		}
@@ -312,7 +285,7 @@ func (s *InterSlicer) Slice(node *wpp.CallNode, crit Criterion) (*InterSlice, er
 
 	// visitDeps enqueues the dependences of instance (n, ti),
 	// restricted to locs when locs is non-nil.
-	visitDeps := func(n *wpp.CallNode, nfd *frameData, ti core.Timestamp, locs map[cfg.Loc]bool) error {
+	visitDeps := func(n int, nfd *frameData, ti core.Timestamp, locs map[cfg.Loc]bool) error {
 		i := int(ti - 1)
 		for _, dep := range nfd.dataDepAt[i] {
 			if locs != nil && !locs[dep.loc] {
@@ -361,7 +334,7 @@ func (s *InterSlicer) Slice(node *wpp.CallNode, crit Criterion) (*InterSlice, er
 			return nil, err
 		}
 		blk := nfd.path[k.t-1]
-		sites[SliceSite{Fn: k.node.Fn, Block: blk}] = true
+		sites[SliceSite{Fn: s.TW.DCG.Fn[k.node], Block: blk}] = true
 		if err := visitDeps(k.node, nfd, k.t, nil); err != nil {
 			return nil, err
 		}
@@ -381,9 +354,12 @@ func (s *InterSlicer) Slice(node *wpp.CallNode, crit Criterion) (*InterSlice, er
 // descend walks into callees invoked by the instance (node, t): the
 // callee's return-value computation joins the slice (and its own
 // dependences follow via the worklist).
-func (s *InterSlicer) descend(node *wpp.CallNode, fd *frameData, t core.Timestamp, push func(*wpp.CallNode, core.Timestamp), sites map[SliceSite]bool) error {
-	kids := callsAt(node, int(t))
-	for _, kid := range kids {
+func (s *InterSlicer) descend(node int, fd *frameData, t core.Timestamp, push func(int, core.Timestamp), sites map[SliceSite]bool) error {
+	d := &s.TW.DCG
+	for kid := node + 1; kid < d.End[node]; kid = d.End[kid] {
+		if d.Pos[kid] != int(t) {
+			continue
+		}
 		kfd, err := s.frame(kid)
 		if err != nil {
 			return err
@@ -396,10 +372,10 @@ func (s *InterSlicer) descend(node *wpp.CallNode, fd *frameData, t core.Timestam
 		// And through array stores, when the callee may write arrays
 		// (by-reference effects): every array-store instance can feed
 		// the caller, so include the callee's store instances.
-		if s.arrayWriter[kid.Fn] {
+		if kfn := d.Fn[kid]; s.arrayWriter[kfn] {
 			for i, b := range kfd.path {
-				for _, d := range s.defs[kid.Fn][b] {
-					if d.Array {
+				for _, def := range s.defs[kfn][b] {
+					if def.Array {
 						push(kid, core.Timestamp(i+1))
 						break
 					}
@@ -414,13 +390,12 @@ func (s *InterSlicer) descend(node *wpp.CallNode, fd *frameData, t core.Timestam
 // is a parameter (or a by-reference array parameter), the slice
 // continues at the caller's call-site instance through the argument
 // expression.
-func (s *InterSlicer) climb(node *wpp.CallNode, loc cfg.Loc, push func(*wpp.CallNode, core.Timestamp), sites map[SliceSite]bool) error {
-	ref, ok := s.parents[node]
-	if !ok {
+func (s *InterSlicer) climb(node int, loc cfg.Loc, push func(int, core.Timestamp), sites map[SliceSite]bool) error {
+	parent := s.parents[node]
+	if parent < 0 {
 		return nil // main's entry: input or undefined, nothing to add
 	}
-	parent := ref.node
-	pos := parent.ChildPos[ref.index]
+	pos := s.TW.DCG.Pos[node]
 	if pos == 0 {
 		// Called before the parent executed any block (impossible for
 		// traced programs whose entry block always runs first).
@@ -434,7 +409,8 @@ func (s *InterSlicer) climb(node *wpp.CallNode, loc cfg.Loc, push func(*wpp.Call
 	// site, then continue the data dependence at the call-site
 	// instance for the argument's uses.
 	callBlock := pfd.path[pos-1]
-	sites[SliceSite{Fn: parent.Fn, Block: callBlock}] = true
+	pfn := s.TW.DCG.Fn[parent]
+	sites[SliceSite{Fn: pfn, Block: callBlock}] = true
 	push(parent, core.Timestamp(pos))
 
 	// Fine-grained mapping: find the call expression in the call-site
@@ -445,7 +421,7 @@ func (s *InterSlicer) climb(node *wpp.CallNode, loc cfg.Loc, push func(*wpp.Call
 	// per-statement CFGs the coarse version is exact enough, but we
 	// keep the argument resolution for array locations so the caller's
 	// array identity survives renaming.
-	_ = s.argumentLocs(parent.Fn, callBlock, node.Fn, loc)
+	_ = s.argumentLocs(pfn, callBlock, s.TW.DCG.Fn[node], loc)
 	return nil
 }
 

@@ -80,7 +80,7 @@ func square(x) {
 	mainID := fnID(t, prog, "main")
 	sqID := fnID(t, prog, "square")
 	crit := Criterion{Block: blockOf(t, prog, mainID, "print(b);")}
-	sl, err := s.Slice(s.TW.Root, crit)
+	sl, err := s.Slice(0, crit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func use(v) {
 	s, prog := buildInter(t, src, nil)
 	mainID := fnID(t, prog, "main")
 	useID := fnID(t, prog, "use")
-	useNode := s.TW.Root.Children[0]
-	if useNode.Fn != useID {
+	useNode := 1 // main's first call
+	if s.TW.DCG.Fn[useNode] != useID {
 		t.Fatalf("unexpected DCG shape")
 	}
 	crit := Criterion{Block: blockOf(t, prog, useID, "print(w);")}
@@ -151,7 +151,7 @@ func fill(arr, v) {
 	fillID := fnID(t, prog, "fill")
 	mainID := fnID(t, prog, "main")
 	crit := Criterion{Block: blockOf(t, prog, mainID, "print(buf[0]);")}
-	sl, err := s.Slice(s.TW.Root, crit)
+	sl, err := s.Slice(0, crit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func inner(b) {
 	innerID := fnID(t, prog, "inner")
 	mainID := fnID(t, prog, "main")
 	crit := Criterion{Block: blockOf(t, prog, mainID, "print(outer(x));")}
-	sl, err := s.Slice(s.TW.Root, crit)
+	sl, err := s.Slice(0, crit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func id(v) { return v; }
 	s, prog := buildInter(t, src, nil)
 	mainID := fnID(t, prog, "main")
 	crit := Criterion{Block: blockOf(t, prog, mainID, "print(r2);")}
-	sl, err := s.Slice(s.TW.Root, crit)
+	sl, err := s.Slice(0, crit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +236,10 @@ func main() {
 `
 	s, prog := buildInter(t, src, nil)
 	_ = prog
-	if _, err := s.Slice(s.TW.Root, Criterion{Block: 99}); err == nil {
+	if _, err := s.Slice(0, Criterion{Block: 99}); err == nil {
 		t.Error("unknown block: want error")
 	}
-	if _, err := s.Slice(s.TW.Root, Criterion{Block: 1, Time: 999}); err == nil {
+	if _, err := s.Slice(0, Criterion{Block: 1, Time: 999}); err == nil {
 		t.Error("bad time: want error")
 	}
 }
@@ -262,7 +262,7 @@ func main() {
 	mainID := fnID(t, prog, "main")
 	printBlk := blockOf(t, prog, mainID, "print(a);")
 
-	inter, err := s.Slice(s.TW.Root, Criterion{Block: printBlk})
+	inter, err := s.Slice(0, Criterion{Block: printBlk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func main() {
 		t.Fatal(err)
 	}
 	w := tb.Finish()
-	tg := dataflow.BuildFromPath(wpp.PathTrace(w.Traces[w.Root.Trace]))
+	tg := dataflow.BuildFromPath(wpp.PathTrace(w.Traces[w.DCG.Trace[0]]))
 	intra := New(p2.Graphs[0], tg)
 	a3, err := intra.Approach3(Criterion{Block: printBlk})
 	if err != nil {

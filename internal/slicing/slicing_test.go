@@ -64,7 +64,7 @@ func runMain(t *testing.T, src string, input []int64) (*cfg.Graph, *dataflow.TGr
 		t.Fatal(err)
 	}
 	w := b.Finish()
-	mainTrace := wpp.PathTrace(w.Traces[w.Root.Trace])
+	mainTrace := wpp.PathTrace(w.Traces[w.DCG.Trace[0]])
 	return p.Graphs[p.MainID()], dataflow.BuildFromPath(mainTrace)
 }
 

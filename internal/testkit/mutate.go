@@ -85,14 +85,14 @@ func MutateProfile(t *core.TWPP, m ProfileMutation, seed int64) (*core.TWPP, Mut
 }
 
 // cloneTWPP copies everything a mutation may touch: the Funcs slice,
-// each function's Traces/DictOf slices, and the whole DCG. Trace and
-// dictionary contents are shared — mutations only rearrange
+// each function's Traces/DictOf slices, and the DCG's columns. Trace
+// and dictionary contents are shared — mutations only rearrange
 // references, never edit timestamp data in place.
 func cloneTWPP(t *core.TWPP) *core.TWPP {
 	out := &core.TWPP{
 		FuncNames: append([]string(nil), t.FuncNames...),
 		Funcs:     make([]core.FunctionTWPP, len(t.Funcs)),
-		Root:      cloneDCG(t.Root),
+		DCG:       t.DCG.Clone(),
 	}
 	for i, f := range t.Funcs {
 		out.Funcs[i] = core.FunctionTWPP{
@@ -106,51 +106,18 @@ func cloneTWPP(t *core.TWPP) *core.TWPP {
 	return out
 }
 
-func cloneDCG(root *wpp.CallNode) *wpp.CallNode {
-	if root == nil {
-		return nil
-	}
-	type frame struct {
-		src *wpp.CallNode
-		dst *wpp.CallNode
-	}
-	out := &wpp.CallNode{Fn: root.Fn, TraceIdx: root.TraceIdx}
-	stack := []frame{{root, out}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		f.dst.ChildPos = append([]int(nil), f.src.ChildPos...)
-		f.dst.Children = make([]*wpp.CallNode, len(f.src.Children))
-		for i, c := range f.src.Children {
-			d := &wpp.CallNode{Fn: c.Fn, TraceIdx: c.TraceIdx}
-			f.dst.Children[i] = d
-			stack = append(stack, frame{c, d})
-		}
-	}
-	return out
-}
-
-// dcgUses counts DCG references per (function, trace index),
-// iteratively (DeepRecursion profiles nest far beyond safe stack
-// depth).
+// dcgUses counts DCG references per (function, trace index).
 func dcgUses(t *core.TWPP) map[cfg.FuncID][]int {
 	uses := make(map[cfg.FuncID][]int, len(t.Funcs))
-	if t.Root == nil {
-		return uses
-	}
-	stack := []*wpp.CallNode{t.Root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		u := uses[n.Fn]
-		if u == nil && int(n.Fn) < len(t.Funcs) {
-			u = make([]int, len(t.Funcs[n.Fn].Traces))
-			uses[n.Fn] = u
+	for i, fn := range t.DCG.Fn {
+		u := uses[fn]
+		if u == nil && int(fn) < len(t.Funcs) {
+			u = make([]int, len(t.Funcs[fn].Traces))
+			uses[fn] = u
 		}
-		if n.TraceIdx >= 0 && n.TraceIdx < len(u) {
-			u[n.TraceIdx]++
+		if ti := t.DCG.Trace[i]; ti >= 0 && ti < len(u) {
+			u[ti]++
 		}
-		stack = append(stack, n.Children...)
 	}
 	return uses
 }
@@ -191,7 +158,7 @@ func funcDisplayName(t *core.TWPP, fn cfg.FuncID) string {
 }
 
 // dropPath removes one unique path. Eligible targets are traces
-// referenced only by leaf, non-root DCG nodes (so removing the calls
+// referenced only by leaf, non-root DCG rows (so removing the calls
 // never orphans a subtree) in functions with at least two traces (so
 // the function itself survives).
 func dropPath(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
@@ -199,21 +166,15 @@ func dropPath(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
 		fn  cfg.FuncID
 		idx int
 	}
+	d := &t.DCG
+	leaf := func(i int) bool { return i > 0 && d.End[i] == i+1 }
 	leafOnly := make(map[target]bool)
-	if t.Root != nil {
-		stack := []*wpp.CallNode{t.Root}
-		first := true
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			tg := target{n.Fn, n.TraceIdx}
-			if len(n.Children) > 0 || first {
-				leafOnly[tg] = false
-			} else if _, seen := leafOnly[tg]; !seen {
-				leafOnly[tg] = true
-			}
-			first = false
-			stack = append(stack, n.Children...)
+	for i, fn := range d.Fn {
+		tg := target{fn, d.Trace[i]}
+		if !leaf(i) {
+			leafOnly[tg] = false
+		} else if _, seen := leafOnly[tg]; !seen {
+			leafOnly[tg] = true
 		}
 	}
 	var cands []target
@@ -236,41 +197,33 @@ func dropPath(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
 		return nil, MutationInfo{}, err
 	}
 
-	// Remove every leaf call of the target, then renumber trace
-	// references above the dropped index. Deleting a child and its
-	// ChildPos at the same index keeps the remaining positions
-	// monotonic, so the DCG stays encodable.
-	removed := 0
-	stack := []*wpp.CallNode{t.Root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		kept := n.Children[:0]
-		keptPos := n.ChildPos[:0]
-		for i, c := range n.Children {
-			if c.Fn == tg.fn && c.TraceIdx == tg.idx && len(c.Children) == 0 {
-				removed++
-				continue
-			}
-			kept = append(kept, c)
-			keptPos = append(keptPos, n.ChildPos[i])
-		}
-		n.Children = kept
-		n.ChildPos = keptPos
-		stack = append(stack, n.Children...)
-	}
-	renumber := func(n *wpp.CallNode) {
-		if n.Fn == tg.fn && n.TraceIdx > tg.idx {
-			n.TraceIdx--
+	// Remove every leaf call of the target and renumber trace
+	// references above the dropped index. gone[i] counts the rows
+	// removed before row i, so a kept row moves to i-gone[i] and its
+	// subtree end to End[i]-gone[End[i]]. Removing leaves keeps the
+	// remaining positions monotonic, so the DCG stays encodable.
+	n := d.Len()
+	gone := make([]int, n+1)
+	for i := range n {
+		gone[i+1] = gone[i]
+		if d.Fn[i] == tg.fn && d.Trace[i] == tg.idx && leaf(i) {
+			gone[i+1]++
 		}
 	}
-	stack = []*wpp.CallNode{t.Root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		renumber(n)
-		stack = append(stack, n.Children...)
+	k := 0
+	for i := range n {
+		if gone[i+1] > gone[i] {
+			continue
+		}
+		ti := d.Trace[i]
+		if d.Fn[i] == tg.fn && ti > tg.idx {
+			ti--
+		}
+		d.Fn[k], d.Trace[k], d.Pos[k], d.End[k] = d.Fn[i], ti, d.Pos[i], d.End[i]-gone[d.End[i]]
+		k++
 	}
+	d.Fn, d.Trace, d.Pos, d.End = d.Fn[:k], d.Trace[:k], d.Pos[:k], d.End[:k]
+	removed := gone[n]
 
 	f := &t.Funcs[tg.fn]
 	f.Traces = append(f.Traces[:tg.idx], f.Traces[tg.idx+1:]...)
@@ -367,19 +320,16 @@ func swapRanks(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
 		return nil, MutationInfo{}, err
 	}
 
-	stack := []*wpp.CallNode{t.Root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.Fn == c.fn {
-			switch n.TraceIdx {
-			case c.i1:
-				n.TraceIdx = c.i2
-			case c.i2:
-				n.TraceIdx = c.i1
-			}
+	for i, fn := range t.DCG.Fn {
+		if fn != c.fn {
+			continue
 		}
-		stack = append(stack, n.Children...)
+		switch t.DCG.Trace[i] {
+		case c.i1:
+			t.DCG.Trace[i] = c.i2
+		case c.i2:
+			t.DCG.Trace[i] = c.i1
+		}
 	}
 
 	return t, MutationInfo{
@@ -395,7 +345,8 @@ func swapRanks(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
 // hottest path under the root, lifting the call count by >25% so the
 // default 10% threshold trips.
 func inflateCalls(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
-	if t.Root == nil {
+	d := &t.DCG
+	if d.Len() == 0 {
 		return nil, MutationInfo{}, fmt.Errorf("testkit: profile has no DCG root")
 	}
 	uses := dcgUses(t)
@@ -405,7 +356,7 @@ func inflateCalls(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
 	}
 	var cands []cand
 	for fn := range t.Funcs {
-		if cfg.FuncID(fn) == t.Root.Fn {
+		if cfg.FuncID(fn) == d.Fn[0] {
 			continue // inflating main would nest calls, not add them
 		}
 		u := uses[cfg.FuncID(fn)]
@@ -441,14 +392,16 @@ func inflateCalls(t *core.TWPP, seed int64) (*core.TWPP, MutationInfo, error) {
 
 	f := &t.Funcs[c.fn]
 	delta := f.CallCount/4 + 1
+	// Repeat the root's last call site: delta-0 positions stay
+	// encodable.
 	pos := 0
-	if n := len(t.Root.ChildPos); n > 0 {
-		pos = t.Root.ChildPos[n-1] // repeat the last call site: delta-0 positions stay encodable
+	for r := 1; r < d.End[0]; r = d.End[r] {
+		pos = d.Pos[r]
 	}
-	for i := 0; i < delta; i++ {
-		t.Root.Children = append(t.Root.Children, &wpp.CallNode{Fn: c.fn, TraceIdx: c.idx})
-		t.Root.ChildPos = append(t.Root.ChildPos, pos)
+	for range delta {
+		d.Close(d.Open(c.fn, pos), c.idx)
 	}
+	d.End[0] = d.Len()
 	f.CallCount += delta
 
 	return t, MutationInfo{

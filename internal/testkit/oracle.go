@@ -196,7 +196,7 @@ func ExtractVsRawScanVariant(w *trace.RawWPP, format int, kind storage.Kind) err
 			}
 			return fmt.Errorf("f%d: extract: %w", f, err)
 		}
-		got, err := expandCalls(dcg, ft)
+		got, err := expandCalls(&dcg, ft)
 		if err != nil {
 			return fmt.Errorf("f%d: expand: %w", f, err)
 		}
@@ -260,32 +260,25 @@ func ExtractIntoParityVariant(w *trace.RawWPP, format int, kind storage.Kind) er
 }
 
 // expandCalls collects fn's per-call expanded traces in call-completion
-// order — a post-order DCG walk, matching the order a linear replay
-// emits ExitCall events.
-func expandCalls(root *wpp.CallNode, ft *core.FunctionTWPP) ([]wpp.PathTrace, error) {
+// order — the order a linear replay emits ExitCall events: a call
+// completes once the rows of its subtree are behind the scan.
+func expandCalls(d *trace.DCG, ft *core.FunctionTWPP) ([]wpp.PathTrace, error) {
 	var out []wpp.PathTrace
-	var rec func(n *wpp.CallNode) error
-	rec = func(n *wpp.CallNode) error {
-		for _, ch := range n.Children {
-			if err := rec(ch); err != nil {
-				return err
+	var open []int
+	for i := 0; i <= d.Len(); i++ {
+		for len(open) > 0 && (i == d.Len() || d.End[open[len(open)-1]] <= i) {
+			r := open[len(open)-1]
+			open = open[:len(open)-1]
+			if d.Fn[r] != ft.Fn {
+				continue
 			}
+			full, err := ft.Expand(d.Trace[r])
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, full)
 		}
-		if n.Fn != ft.Fn {
-			return nil
-		}
-		full, err := ft.Expand(n.TraceIdx)
-		if err != nil {
-			return err
-		}
-		out = append(out, full)
-		return nil
-	}
-	if root == nil {
-		return nil, nil
-	}
-	if err := rec(root); err != nil {
-		return nil, err
+		open = append(open, i)
 	}
 	return out, nil
 }
@@ -347,7 +340,7 @@ func CheckCompactedDecode(dir string, data []byte, opts wppfile.OpenOptions) (vE
 // then ExtractFunction for each function in Functions() order,
 // stopping at the first error. It does not validate DCG references.
 func readAllSequential(cf *wppfile.CompactedFile) (*core.TWPP, error) {
-	root, err := cf.ReadDCG()
+	dcg, err := cf.ReadDCG()
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +351,7 @@ func readAllSequential(cf *wppfile.CompactedFile) (*core.TWPP, error) {
 			maxFn = int(fn) + 1
 		}
 	}
-	t := &core.TWPP{FuncNames: cf.Names(), Root: root, Funcs: make([]core.FunctionTWPP, maxFn)}
+	t := &core.TWPP{FuncNames: cf.Names(), DCG: dcg, Funcs: make([]core.FunctionTWPP, maxFn)}
 	for f := range t.Funcs {
 		t.Funcs[f].Fn = cfg.FuncID(f)
 	}
@@ -372,25 +365,15 @@ func readAllSequential(cf *wppfile.CompactedFile) (*core.TWPP, error) {
 	return t, nil
 }
 
-// danglingRef reports whether some DCG node of t references a
+// danglingRef reports whether some DCG row of t references a
 // function or trace t does not hold.
 func danglingRef(t *core.TWPP) bool {
-	var rec func(n *wpp.CallNode) bool
-	rec = func(n *wpp.CallNode) bool {
-		if n == nil {
-			return false
-		}
-		if int(n.Fn) >= len(t.Funcs) || n.TraceIdx < 0 || n.TraceIdx >= len(t.Funcs[n.Fn].Traces) {
+	for i, fn := range t.DCG.Fn {
+		if ti := t.DCG.Trace[i]; fn < 0 || int(fn) >= len(t.Funcs) || ti < 0 || ti >= len(t.Funcs[fn].Traces) {
 			return true
 		}
-		for _, ch := range n.Children {
-			if rec(ch) {
-				return true
-			}
-		}
-		return false
 	}
-	return rec(t.Root)
+	return false
 }
 
 // CheckReadAllParity checks the parallel ReadAll against its
@@ -398,7 +381,7 @@ func danglingRef(t *core.TWPP) bool {
 // function in Functions() order. Where the reference fails, ReadAll
 // must fail with the first error it met, equal in code, offset and
 // message. Where it succeeds, ReadAll must return a TWPP
-// reflect.DeepEqual to the reference's, or, exactly when some DCG node
+// reflect.DeepEqual to the reference's, or, exactly when some DCG row
 // references a trace the blocks lack, fail with CodeCorrupt.
 func CheckReadAllParity(cf *wppfile.CompactedFile) error {
 	want, wantErr := readAllSequential(cf)

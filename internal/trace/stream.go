@@ -3,7 +3,7 @@
 // contract of that stream, Demux validates and routes a linear symbol
 // stream into a sink without materializing it, and Replay regenerates
 // the event stream from an in-memory WPP — so any sink can be driven
-// either from a file or from a tree. Blocks travel in runs: one event
+// either from a file or from memory. Blocks travel in runs: one event
 // carries every block a call executes between two call boundaries, so
 // the per-event cost is paid per run, not per block.
 package trace
@@ -214,31 +214,42 @@ func (d *Demux) Close() error {
 // the event-level equivalent of Linear. Each stretch of a trace
 // between two call positions is one Blocks event.
 func (w *RawWPP) Replay(sink EventSink) {
-	var rec func(n *CallNode)
-	rec = func(n *CallNode) {
-		sink.EnterCall(n.Fn)
-		tr := w.Traces[n.Trace]
-		prev := 0
-		for i, ch := range n.Children {
-			// A position behind the previous one or past the trace's
-			// end is never reached, so that child and the rest are
-			// not replayed.
-			pos := n.ChildPos[i]
-			if pos < prev || pos > len(tr) {
-				break
+	d := &w.DCG
+	// The open calls: each one's row and how many blocks of its trace
+	// have been replayed.
+	type open struct{ row, done int }
+	var stack []open
+	closeTo := func(i int) {
+		for len(stack) > 0 && d.End[stack[len(stack)-1].row] <= i {
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if tr := w.Traces[d.Trace[top.row]]; top.done < len(tr) {
+				sink.Blocks(tr[top.done:])
 			}
-			if pos > prev {
-				sink.Blocks(tr[prev:pos])
-				prev = pos
+			sink.ExitCall()
+		}
+	}
+	for i := 0; i < d.Len(); {
+		closeTo(i)
+		if len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			tr := w.Traces[d.Trace[top.row]]
+			// A position behind the previous sibling's or past the
+			// caller's trace is never reached, so that call and the
+			// siblings after it are not replayed.
+			pos := d.Pos[i]
+			if pos < top.done || pos > len(tr) {
+				i = d.End[top.row]
+				continue
 			}
-			rec(ch)
+			if pos > top.done {
+				sink.Blocks(tr[top.done:pos])
+				top.done = pos
+			}
 		}
-		if prev < len(tr) {
-			sink.Blocks(tr[prev:])
-		}
-		sink.ExitCall()
+		sink.EnterCall(d.Fn[i])
+		stack = append(stack, open{row: i})
+		i++
 	}
-	if w.Root != nil {
-		rec(w.Root)
-	}
+	closeTo(d.Len())
 }

@@ -13,30 +13,75 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"twpp/internal/cfg"
 	"twpp/internal/sequitur"
 )
 
-// CallNode is one function invocation in the dynamic call graph.
-type CallNode struct {
-	Fn cfg.FuncID
-	// Trace indexes RawWPP.Traces.
-	Trace int
-	// Children are callee invocations in call order.
-	Children []*CallNode
-	// ChildPos[i] is the number of blocks of this call's own trace that
-	// had executed when Children[i] was invoked (so the child's
-	// sub-WPP interleaves after block index ChildPos[i]-1).
-	ChildPos []int
+// DCG is a dynamic call graph stored flat: one row per call, in
+// preorder (call order), as four parallel columns. Row i is a call of
+// Fn[i] that executed path trace Trace[i]. Pos[i] counts the blocks of
+// its caller's own trace that ran before it (so its sub-WPP
+// interleaves after caller block Pos[i]-1; 0 for a root). End[i] is
+// one past the last row of i's subtree, so i's children are i+1,
+// End[i+1], ... while below End[i], and a forest's roots are 0,
+// End[0], .... Trace indexes RawWPP.Traces in a raw WPP and the
+// function's unique traces in a compacted one; the other columns mean
+// the same in both.
+type DCG struct {
+	Fn    []cfg.FuncID
+	Trace []int
+	Pos   []int
+	End   []int
+}
+
+// Len reports the number of calls.
+func (d *DCG) Len() int { return len(d.Fn) }
+
+// Open appends a row for a call of fn at position pos of its caller's
+// trace and returns the row. Its Trace and End are set by Close.
+func (d *DCG) Open(fn cfg.FuncID, pos int) int {
+	d.Fn = append(d.Fn, fn)
+	d.Trace = append(d.Trace, 0)
+	d.Pos = append(d.Pos, pos)
+	d.End = append(d.End, 0)
+	return len(d.Fn) - 1
+}
+
+// Close completes row i, whose call executed trace tr: its subtree is
+// every row appended since Open.
+func (d *DCG) Close(i, tr int) {
+	d.Trace[i] = tr
+	d.End[i] = len(d.Fn)
+}
+
+// Parents returns each row's caller row, -1 for a root.
+func (d *DCG) Parents() []int {
+	parent := make([]int, d.Len())
+	for i := range parent {
+		parent[i] = -1
+	}
+	for i, end := range d.End {
+		for c := i + 1; c < end; c = d.End[c] {
+			parent[c] = i
+		}
+	}
+	return parent
+}
+
+// Clone returns a copy of d that shares no storage with it.
+func (d *DCG) Clone() DCG {
+	return DCG{Fn: slices.Clone(d.Fn), Trace: slices.Clone(d.Trace), Pos: slices.Clone(d.Pos), End: slices.Clone(d.End)}
 }
 
 // RawWPP is an uncompacted whole program path.
 type RawWPP struct {
 	// FuncNames[f] names function f; indexes align with cfg.FuncID.
 	FuncNames []string
-	// Root is the top-level call (main).
-	Root *CallNode
+	// DCG is the dynamic call graph; its one root is the top-level
+	// call (main).
+	DCG DCG
 	// Traces[i] is the block sequence of call i, in invocation order
 	// (preorder of the DCG).
 	Traces [][]cfg.BlockID
@@ -46,7 +91,7 @@ type RawWPP struct {
 // It is the bridge between the interpreter and this package.
 type Builder struct {
 	wpp   *RawWPP
-	stack []*CallNode
+	stack []int // rows of the open calls
 }
 
 // NewBuilder returns a builder for a program with the given function
@@ -55,21 +100,19 @@ func NewBuilder(funcNames []string) *Builder {
 	return &Builder{wpp: &RawWPP{FuncNames: funcNames}}
 }
 
-// EnterCall records the start of an invocation of f.
+// EnterCall records the start of an invocation of f. Call i's trace
+// is Traces[i].
 func (b *Builder) EnterCall(f cfg.FuncID) {
-	n := &CallNode{Fn: f, Trace: len(b.wpp.Traces)}
-	b.wpp.Traces = append(b.wpp.Traces, nil)
+	pos := 0
 	if len(b.stack) == 0 {
-		if b.wpp.Root != nil {
+		if b.wpp.DCG.Len() != 0 {
 			panic("trace: multiple root calls")
 		}
-		b.wpp.Root = n
 	} else {
-		parent := b.stack[len(b.stack)-1]
-		parent.Children = append(parent.Children, n)
-		parent.ChildPos = append(parent.ChildPos, len(b.wpp.Traces[parent.Trace]))
+		pos = len(b.wpp.Traces[b.stack[len(b.stack)-1]])
 	}
-	b.stack = append(b.stack, n)
+	b.stack = append(b.stack, b.wpp.DCG.Open(f, pos))
+	b.wpp.Traces = append(b.wpp.Traces, nil)
 }
 
 // Block records execution of block id in the current invocation.
@@ -84,7 +127,7 @@ func (b *Builder) Blocks(ids []cfg.BlockID) {
 		panic("trace: block event outside any call")
 	}
 	cur := b.stack[len(b.stack)-1]
-	b.wpp.Traces[cur.Trace] = append(b.wpp.Traces[cur.Trace], ids...)
+	b.wpp.Traces[cur] = append(b.wpp.Traces[cur], ids...)
 }
 
 // ExitCall records the return of the current invocation.
@@ -92,6 +135,8 @@ func (b *Builder) ExitCall() {
 	if len(b.stack) == 0 {
 		panic("trace: exit event outside any call")
 	}
+	cur := b.stack[len(b.stack)-1]
+	b.wpp.DCG.Close(cur, cur)
 	b.stack = b.stack[:len(b.stack)-1]
 }
 
@@ -100,7 +145,7 @@ func (b *Builder) Finish() *RawWPP {
 	if len(b.stack) != 0 {
 		panic(fmt.Sprintf("trace: %d calls still open", len(b.stack)))
 	}
-	if b.wpp.Root == nil {
+	if b.wpp.DCG.Len() == 0 {
 		panic("trace: no root call recorded")
 	}
 	return b.wpp
@@ -125,23 +170,13 @@ func (w *RawWPP) NumBlocks() int {
 // word per child position — the natural in-memory form) and the
 // traces at one 32-bit word per executed block.
 func (w *RawWPP) RawSizes() (dcgBytes, traceBytes int) {
-	words := 0
-	w.Walk(func(n *CallNode) { words += 2 + len(n.Children) })
+	d := &w.DCG
+	// Every call but a root is some call's child.
+	words := 3 * d.Len()
+	for r := 0; r < d.Len(); r = d.End[r] {
+		words--
+	}
 	return 4 * words, 4 * w.NumBlocks()
-}
-
-// Walk visits every call node in preorder.
-func (w *RawWPP) Walk(fn func(*CallNode)) {
-	var rec func(n *CallNode)
-	rec = func(n *CallNode) {
-		fn(n)
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	if w.Root != nil {
-		rec(w.Root)
-	}
 }
 
 // symbolCollector is the EventSink that rebuilds the linear symbol

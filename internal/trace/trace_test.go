@@ -40,14 +40,12 @@ func TestBuilderStructure(t *testing.T) {
 	if w.NumCalls() != 3 {
 		t.Fatalf("NumCalls = %d, want 3", w.NumCalls())
 	}
-	if w.Root.Fn != 0 || len(w.Root.Children) != 2 {
-		t.Fatalf("root = %+v", w.Root)
+	// main calls 1 twice, after 3 and 6 of its blocks respectively.
+	want := DCG{Fn: []cfg.FuncID{0, 1, 1}, Trace: []int{0, 1, 2}, Pos: []int{0, 3, 6}, End: []int{3, 2, 3}}
+	if !reflect.DeepEqual(w.DCG, want) {
+		t.Fatalf("DCG = %+v, want %+v", w.DCG, want)
 	}
-	// Children were invoked after 3 and 6 blocks of main respectively.
-	if !reflect.DeepEqual(w.Root.ChildPos, []int{3, 6}) {
-		t.Errorf("ChildPos = %v, want [3 6]", w.Root.ChildPos)
-	}
-	if got := w.Traces[w.Root.Trace]; !reflect.DeepEqual(got, []cfg.BlockID{1, 2, 3, 4, 2, 3, 4, 6}) {
+	if got := w.Traces[w.DCG.Trace[0]]; !reflect.DeepEqual(got, []cfg.BlockID{1, 2, 3, 4, 2, 3, 4, 6}) {
 		t.Errorf("main trace = %v", got)
 	}
 	counts := callsPerFunc(w)
@@ -91,8 +89,28 @@ func TestCallAtTraceBoundaries(t *testing.T) {
 	if !Equal(w, rebuild(t, w)) {
 		t.Error("boundary-call WPP did not round trip")
 	}
-	if !reflect.DeepEqual(w.Root.ChildPos, []int{0, 1}) {
-		t.Errorf("ChildPos = %v, want [0 1]", w.Root.ChildPos)
+	if !reflect.DeepEqual(w.DCG.Pos, []int{0, 0, 1}) {
+		t.Errorf("Pos = %v, want [0 0 1]", w.DCG.Pos)
+	}
+}
+
+// Replay stops replaying a call's children at the first one
+// positioned behind its previous sibling or past the call's trace: it
+// and the siblings after it never ran.
+func TestReplaySkipsUnreachableCalls(t *testing.T) {
+	want := []uint32{sequitur.EnterMarker(0), 1, 2, sequitur.EnterMarker(1), 7, sequitur.ExitMarker, 3, sequitur.ExitMarker}
+	for name, pos := range map[string][]int{
+		"behind previous sibling": {0, 2, 1, 3},
+		"past the caller's trace": {0, 2, 4, 3},
+	} {
+		w := &RawWPP{
+			FuncNames: []string{"main", "f"},
+			DCG:       DCG{Fn: []cfg.FuncID{0, 1, 1, 1}, Trace: []int{0, 1, 2, 3}, Pos: pos, End: []int{4, 2, 3, 4}},
+			Traces:    [][]cfg.BlockID{{1, 2, 3}, {7}, {8}, {9}},
+		}
+		if got := w.Linear(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Linear = %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -162,6 +180,8 @@ func rebuild(t *testing.T, w *RawWPP) *RawWPP {
 // callsPerFunc counts w's invocations per function id.
 func callsPerFunc(w *RawWPP) map[cfg.FuncID]int {
 	out := make(map[cfg.FuncID]int)
-	w.Walk(func(n *CallNode) { out[n.Fn]++ })
+	for _, fn := range w.DCG.Fn {
+		out[fn]++
+	}
 	return out
 }

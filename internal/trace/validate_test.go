@@ -126,28 +126,29 @@ func TestValidateRejects(t *testing.T) {
 		}
 	}
 
-	corrupt("unknown function", func(w *RawWPP) { w.Root.Fn = 99 })
-	corrupt("bad entry", func(w *RawWPP) { w.Traces[w.Root.Trace][0] = 2 })
+	// Row 0 is main, row 1 its first call.
+	corrupt("unknown function", func(w *RawWPP) { w.DCG.Fn[0] = 99 })
+	corrupt("bad entry", func(w *RawWPP) { w.Traces[w.DCG.Trace[0]][0] = 2 })
 	corrupt("bad exit", func(w *RawWPP) {
-		tr := w.Traces[w.Root.Trace]
+		tr := w.Traces[w.DCG.Trace[0]]
 		tr[len(tr)-1] = 1
 	})
 	corrupt("non-edge step", func(w *RawWPP) {
-		tr := w.Traces[w.Root.Trace]
+		tr := w.Traces[w.DCG.Trace[0]]
 		tr[1] = tr[0] // self-step that is not a CFG edge
 	})
-	corrupt("unknown block", func(w *RawWPP) { w.Traces[w.Root.Trace][1] = 99 })
+	corrupt("unknown block", func(w *RawWPP) { w.Traces[w.DCG.Trace[0]][1] = 99 })
 	corrupt("child position beyond trace", func(w *RawWPP) {
-		w.Root.ChildPos[0] = len(w.Traces[w.Root.Trace]) + 5
+		w.DCG.Pos[1] = len(w.Traces[w.DCG.Trace[0]]) + 5
 	})
 	corrupt("child positions out of order", func(w *RawWPP) {
-		if len(w.Root.ChildPos) >= 2 {
-			w.Root.ChildPos[0], w.Root.ChildPos[1] = w.Root.ChildPos[1]+1, 0
+		if second := w.DCG.End[1]; second < w.DCG.End[0] {
+			w.DCG.Pos[1], w.DCG.Pos[second] = w.DCG.Pos[second]+1, 0
 		} else {
-			w.Root.ChildPos[0] = len(w.Traces[w.Root.Trace]) + 1
+			w.DCG.Pos[1] = len(w.Traces[w.DCG.Trace[0]]) + 1
 		}
 	})
-	corrupt("empty trace", func(w *RawWPP) { w.Traces[w.Root.Trace] = nil })
+	corrupt("empty trace", func(w *RawWPP) { w.Traces[w.DCG.Trace[0]] = nil })
 }
 
 func TestValidateNoRoot(t *testing.T) {

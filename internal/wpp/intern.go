@@ -150,7 +150,7 @@ func (t *Table) put(s tableSlot) {
 
 // uniqueTrace is one interned unique trace of a function: the original
 // block sequence (kept for verified-equality lookups), the earliest
-// EnterCall sequence that produced it (streaming only), and, once
+// DCG row (EnterCall sequence) that produced it (streaming only), and, once
 // compact has run, its DBB-compacted form, dictionary and dictionary
 // hash.
 type uniqueTrace struct {

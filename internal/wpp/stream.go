@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"twpp/internal/cfg"
+	"twpp/internal/trace"
 )
 
 // StreamCompactor performs the paper's first three compaction
@@ -43,15 +44,14 @@ import (
 // earliest EnterCall sequence number among the calls that produced it,
 // and Finish sorts unique traces into that first-entry order —
 // restoring the documented first-occurrence order — then rewrites the
-// provisional DCG indices.
+// provisional DCG indices. A call's EnterCall sequence number is its
+// DCG row.
 type StreamCompactor struct {
 	funcNames []string
 	funcs     []streamFunc
 	stack     []streamFrame
-	root      *CallNode
-	seq       int // EnterCall counter: global first-occurrence clock
+	dcg       trace.DCG
 	blocks    int
-	calls     int
 	// spare recycles block buffers of calls whose traces proved
 	// redundant — the overwhelmingly common case (Figure 8) — so
 	// steady-state ingestion allocates only on new unique traces.
@@ -108,12 +108,11 @@ type streamFunc struct {
 	callCount int
 }
 
-// streamFrame is one open call: its DCG node, the trace buffered so
-// far, and its EnterCall sequence number.
+// streamFrame is one open call: its DCG row and the trace buffered so
+// far.
 type streamFrame struct {
-	node *CallNode
-	tr   PathTrace
-	seq  int
+	row int
+	tr  PathTrace
 }
 
 // NewStreamCompactor returns a compactor for a program with the given
@@ -132,24 +131,20 @@ func (s *StreamCompactor) EnterCall(f cfg.FuncID) {
 	for int(f) >= len(s.funcs) {
 		s.funcs = append(s.funcs, streamFunc{})
 	}
-	n := &CallNode{Fn: f}
+	pos := 0
 	if len(s.stack) == 0 {
-		if s.root != nil {
+		if s.dcg.Len() != 0 {
 			panic("wpp: multiple root calls in event stream")
 		}
-		s.root = n
 	} else {
-		p := &s.stack[len(s.stack)-1]
-		p.node.Children = append(p.node.Children, n)
-		p.node.ChildPos = append(p.node.ChildPos, len(p.tr))
+		pos = len(s.stack[len(s.stack)-1].tr)
 	}
 	var tr PathTrace
 	if k := len(s.spare); k > 0 {
 		tr = s.spare[k-1][:0]
 		s.spare = s.spare[:k-1]
 	}
-	s.stack = append(s.stack, streamFrame{node: n, tr: tr, seq: s.seq})
-	s.seq++
+	s.stack = append(s.stack, streamFrame{row: s.dcg.Open(f, pos), tr: tr})
 }
 
 // Blocks records execution of the blocks ids in the current
@@ -172,21 +167,20 @@ func (s *StreamCompactor) ExitCall() {
 	}
 	fr := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
-	fs := &s.funcs[fr.node.Fn]
+	fs := &s.funcs[s.dcg.Fn[fr.row]]
 	idx, added := fs.intern(fr.tr)
 	u := fs.uniq[idx]
 	if added {
-		u.firstSeq = fr.seq
+		u.firstSeq = fr.row
 		s.enqueue(u)
 	} else {
-		u.firstSeq = min(u.firstSeq, fr.seq)
+		u.firstSeq = min(u.firstSeq, fr.row)
 		if cap(fr.tr) > 0 {
 			s.spare = append(s.spare, fr.tr)
 		}
 	}
-	fr.node.TraceIdx = idx
+	s.dcg.Close(fr.row, idx)
 	fs.callCount++
-	s.calls++
 }
 
 // enqueue queues a new unique trace for DBB compaction and launches
@@ -263,7 +257,7 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 	}
 	c := &Compacted{
 		FuncNames: s.funcNames,
-		Root:      s.root,
+		DCG:       s.dcg,
 		Funcs:     make([]FunctionTraces, numFuncs),
 	}
 	for f := range c.Funcs {
@@ -272,7 +266,7 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 
 	var stats Stats
 	stats.RawTraceBytes = 4 * s.blocks
-	stats.Calls = s.calls
+	stats.Calls = s.dcg.Len()
 
 	remaps := make([][]int, len(s.funcs))
 	for f := range s.funcs {
@@ -304,14 +298,9 @@ func (s *StreamCompactor) FinishCtx(ctx context.Context) (*Compacted, Stats, err
 	}
 	stats.AfterDictionary += stats.DictionaryBytes
 
-	var rewrite func(n *CallNode)
-	rewrite = func(n *CallNode) {
-		n.TraceIdx = remaps[n.Fn][n.TraceIdx]
-		for _, ch := range n.Children {
-			rewrite(ch)
-		}
+	for i, f := range c.DCG.Fn {
+		c.DCG.Trace[i] = remaps[f][c.DCG.Trace[i]]
 	}
-	rewrite(s.root)
 	return c, stats, nil
 }
 
@@ -323,7 +312,7 @@ func (s *StreamCompactor) seal() error {
 		return fmt.Errorf("wpp: StreamCompactor already finished")
 	case len(s.stack) != 0:
 		return fmt.Errorf("wpp: event stream ended with %d unclosed calls", len(s.stack))
-	case s.root == nil:
+	case s.dcg.Len() == 0:
 		return fmt.Errorf("wpp: event stream contained no calls")
 	}
 	s.finished = true

@@ -85,22 +85,14 @@ func (ft *FunctionTraces) Expand(i int) PathTrace {
 	return ft.Dicts[ft.DictOf[i]].Expand(make(PathTrace, 0, ft.OrigLen[i]), ft.Traces[i])
 }
 
-// CallNode is an invocation in the compacted DCG: it references one of
-// the callee function's unique traces rather than owning a trace.
-type CallNode struct {
-	Fn       cfg.FuncID
-	TraceIdx int // index into Funcs[Fn].Traces
-	Children []*CallNode
-	// ChildPos[i] is the child's call position counted in blocks of
-	// this call's *original* (expanded) trace, exactly as in
-	// trace.CallNode.
-	ChildPos []int
-}
-
 // Compacted is the fully compacted WPP of the paper's Figure 5.
 type Compacted struct {
 	FuncNames []string
-	Root      *CallNode
+	// DCG is the compacted dynamic call graph: each call references one
+	// of its function's unique traces (Funcs[Fn].Traces) rather than
+	// owning a trace, and its position counts blocks of its caller's
+	// original (expanded) trace, exactly as in the raw DCG.
+	DCG trace.DCG
 	// Funcs holds per-function trace blocks, indexed by FuncID. A
 	// function never called has a zero-value entry.
 	Funcs []FunctionTraces
@@ -157,91 +149,63 @@ func CompactWorkers(w *trace.RawWPP, workers int) (*Compacted, Stats) {
 }
 
 // CompactWorkersCtx is CompactWorkers with cooperative cancellation:
-// the DCG walk checks ctx every few thousand nodes and the
-// per-function pool checks it between functions, so a canceled
+// the per-function pool checks ctx between functions, so a canceled
 // context abandons a large compaction promptly. On cancellation the
 // partial Compacted is discarded and ctx.Err() is returned.
 func CompactWorkersCtx(ctx context.Context, w *trace.RawWPP, workers int) (*Compacted, Stats, error) {
-	// Count each function's calls. Functions can appear in the DCG
-	// beyond the name table when names are absent, so the table is
-	// sized by this scan too.
-	var perFunc []int
-	w.Walk(func(n *trace.CallNode) {
-		for int(n.Fn) >= len(perFunc) {
-			perFunc = append(perFunc, 0)
-		}
-		perFunc[n.Fn]++
-	})
-	numFuncs := max(len(w.FuncNames), len(perFunc))
+	// Functions can appear in the DCG beyond the name table when names
+	// are absent, so the table is sized by the DCG too.
+	d := &w.DCG
+	numFuncs := len(w.FuncNames)
+	for _, f := range d.Fn {
+		numFuncs = max(numFuncs, int(f)+1)
+	}
 
+	// Stage 1: partition. The compacted DCG is the raw one with each
+	// call's trace index still to be interned; a counting sort over Fn
+	// lists each function's calls in preorder, function f's in
+	// rows[first[f]:first[f+1]].
 	c := &Compacted{
 		FuncNames: w.FuncNames,
+		DCG:       d.Clone(),
 		Funcs:     make([]FunctionTraces, numFuncs),
 	}
 	for f := range c.Funcs {
 		c.Funcs[f].Fn = cfg.FuncID(f)
 	}
-
-	var stats Stats
-	stats.RawTraceBytes = 4 * w.NumBlocks()
-
-	// Stage 1: partition. The sequential walk builds the compacted DCG
-	// and lists each function's calls in preorder, function f's in
-	// calls[first[f]:first[f+1]]; until stage 2 interns it, a node's
-	// TraceIdx holds its raw trace index (into w.Traces). The walk
-	// polls ctx every stride nodes; once canceled it unwinds without
-	// visiting further children.
 	first := make([]int, numFuncs+1)
-	copy(first[1:], perFunc)
+	for _, f := range d.Fn {
+		first[f+1]++
+	}
 	for f := range numFuncs {
 		first[f+1] += first[f]
 	}
-	calls := make([]*CallNode, first[numFuncs])
+	rows := make([]int, d.Len())
 	next := slices.Clone(first[:numFuncs])
-	const cancelStride = 1 << 12
-	canceled := false
-	var build func(n *trace.CallNode) *CallNode
-	build = func(n *trace.CallNode) *CallNode {
-		if canceled {
-			return nil
-		}
-		stats.Calls++
-		if stats.Calls%cancelStride == 0 && ctx.Err() != nil {
-			canceled = true
-			return nil
-		}
-		cn := &CallNode{Fn: n.Fn, TraceIdx: n.Trace}
-		calls[next[n.Fn]] = cn
-		next[n.Fn]++
-		if len(n.Children) > 0 {
-			cn.Children = make([]*CallNode, len(n.Children))
-			cn.ChildPos = slices.Clone(n.ChildPos[:len(n.Children)])
-			for i, ch := range n.Children {
-				cn.Children[i] = build(ch)
-			}
-		}
-		return cn
+	for i, f := range d.Fn {
+		rows[next[f]] = i
+		next[f]++
 	}
-	c.Root = build(w.Root)
-	if canceled || ctx.Err() != nil {
-		return nil, Stats{}, ctx.Err()
-	}
+
+	var stats Stats
+	stats.RawTraceBytes = 4 * w.NumBlocks()
+	stats.Calls = d.Len()
 
 	// Stages 2 and 3, per function: intern the function's traces in
 	// preorder, which keeps unique traces in first-occurrence order,
 	// then compact each unique trace and assemble the function.
 	// Functions are mutually independent here, so the work fans out
 	// over a bounded pool; each job writes only its own c.Funcs[f]
-	// slot, partial-stats slot and call nodes, and the partials are
-	// summed in function order afterwards so the Stats accumulate
-	// identically to a sequential run.
+	// slot, partial-stats slot and its function's rows of c.DCG.Trace,
+	// and the partials are summed in function order afterwards so the
+	// Stats accumulate identically to a sequential run.
 	partial := make([]Stats, numFuncs)
 	compactFunc := func(f int) {
-		fcalls := calls[first[f]:first[f+1]]
-		c.Funcs[f].CallCount = len(fcalls)
+		frows := rows[first[f]:first[f+1]]
+		c.Funcs[f].CallCount = len(frows)
 		var set traceSet
-		for _, cn := range fcalls {
-			cn.TraceIdx, _ = set.intern(w.Traces[cn.TraceIdx])
+		for _, r := range frows {
+			c.DCG.Trace[r], _ = set.intern(w.Traces[d.Trace[r]])
 		}
 		for _, u := range set.uniq {
 			u.compact()
@@ -424,22 +388,14 @@ func fill(s []int32, n int, v int32) []int32 {
 }
 
 // Reconstruct inverts the compaction, rebuilding the raw WPP (DCG with
-// one trace per call). The result is Linear-equal to the input of
-// Compact.
+// one trace per call, numbered in row order). The result is
+// Linear-equal to the input of Compact.
 func (c *Compacted) Reconstruct() *trace.RawWPP {
-	w := &trace.RawWPP{FuncNames: c.FuncNames}
-	var rec func(n *CallNode) *trace.CallNode
-	rec = func(n *CallNode) *trace.CallNode {
-		ft := &c.Funcs[n.Fn]
-		tn := &trace.CallNode{Fn: n.Fn, Trace: len(w.Traces)}
-		w.Traces = append(w.Traces, ft.Expand(n.TraceIdx))
-		for i, ch := range n.Children {
-			tn.Children = append(tn.Children, rec(ch))
-			tn.ChildPos = append(tn.ChildPos, n.ChildPos[i])
-		}
-		return tn
+	w := &trace.RawWPP{FuncNames: c.FuncNames, DCG: c.DCG.Clone(), Traces: make([][]cfg.BlockID, c.DCG.Len())}
+	for i, f := range c.DCG.Fn {
+		w.Traces[i] = c.Funcs[f].Expand(c.DCG.Trace[i])
+		w.DCG.Trace[i] = i
 	}
-	w.Root = rec(c.Root)
 	return w
 }
 

@@ -3,6 +3,7 @@ package wppfile_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -214,8 +215,9 @@ func TestOwnedExtractAllocs(t *testing.T) {
 	}
 }
 
-// ReadDCG decodes into pooled scratch and carves the tree from three
-// slabs, so the objects it allocates do not grow with the call count.
+// ReadDCG decodes into pooled scratch and fills four columns sized by
+// a counting pass, so the objects it allocates do not grow with the
+// call count.
 func TestReadDCGAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts of pooled paths are random under -race")
@@ -243,6 +245,44 @@ func TestReadDCGAllocsFlat(t *testing.T) {
 	}
 	if allocs[1] > allocs[0] {
 		t.Errorf("ReadDCG allocates %.0f objects at 8 calls but %.0f at 800", allocs[0], allocs[1])
+	}
+}
+
+// The flat DCG's footprint: four columns of one word per call, so a
+// ReadDCG of an 8,000-call DCG allocates at most 40 bytes per call
+// (the pointer tree it replaced took 84).
+func TestReadDCGFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled paths are random under -race")
+	}
+	w := testkit.Generate(testkit.Config{Seed: 5, Shape: testkit.Irregular, Calls: 8000})
+	_, img, err := testkit.EncodeBoth(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := wppfile.OpenCompactedBytes(img, wppfile.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	// One P, as in testing.AllocsPerRun, so the warm-up's pooled
+	// scratch is not stranded on another P's private slot.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := cf.ReadDCG(); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := cf.ReadDCG(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(w.NumCalls())
+	if perCall > 40 {
+		t.Errorf("ReadDCG allocates %.1f bytes per call over %d calls, want at most 40", perCall, w.NumCalls())
 	}
 }
 

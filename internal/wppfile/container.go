@@ -11,7 +11,7 @@ import (
 	"twpp/internal/cfg"
 	"twpp/internal/core"
 	"twpp/internal/encoding"
-	"twpp/internal/wpp"
+	"twpp/internal/trace"
 )
 
 // Container abstracts an opened TWPP container. Both *CompactedFile
@@ -37,7 +37,7 @@ type Container interface {
 	// cancellation.
 	ExtractFunctionCtx(ctx context.Context, fn cfg.FuncID) (*core.FunctionTWPP, error)
 	// ReadDCG decodes the dynamic call graph.
-	ReadDCG() (*wpp.CallNode, error)
+	ReadDCG() (trace.DCG, error)
 	// ReadAll reconstructs the complete TWPP.
 	ReadAll() (*core.TWPP, error)
 	// SectionSizes reports the Table 3 byte breakdown (header/index,

@@ -6,20 +6,28 @@ import (
 	"testing"
 
 	"twpp/internal/cfg"
-	"twpp/internal/core"
 	"twpp/internal/encoding"
 	"twpp/internal/trace"
 	"twpp/internal/wpp"
 )
 
-// decodeDCGRef is the node-per-call DCG decoder that decodeDCG's slab
+// refNode is one call of the reference decoder's pointer tree.
+type refNode struct {
+	fn       cfg.FuncID
+	trace    int
+	children []*refNode
+	childPos []int
+}
+
+// decodeDCGRef is the node-per-call DCG decoder that decodeDCG's row
 // decoder replaced: one allocation per node and two growing slices per
-// call. It stays here as the reference decodeDCG must match, tree for
-// tree and error for error.
-func decodeDCGRef(data []byte) (*wpp.CallNode, error) {
+// call, recursing once per nesting level. It stays here as the
+// reference decodeDCG must match, DCG for DCG (through flattenRef) and
+// error for error.
+func decodeDCGRef(data []byte) (*refNode, error) {
 	c := encoding.NewCursor(data)
-	var rec func(depth int) (*wpp.CallNode, error)
-	rec = func(depth int) (*wpp.CallNode, error) {
+	var rec func(depth int) (*refNode, error)
+	rec = func(depth int) (*refNode, error) {
 		if depth > 1<<20 {
 			return nil, encoding.Errf(encoding.CodeLimit, int64(c.Pos()), "wppfile: DCG nesting too deep")
 		}
@@ -38,7 +46,7 @@ func decodeDCGRef(data []byte) (*wpp.CallNode, error) {
 		if nc > uint64(c.Len()) {
 			return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: DCG child count %d too large", nc)
 		}
-		n := &wpp.CallNode{Fn: cfg.FuncID(fn), TraceIdx: int(ti)}
+		n := &refNode{fn: cfg.FuncID(fn), trace: int(ti)}
 		prev := 0
 		for i := uint64(0); i < nc; i++ {
 			delta, err := c.Uvarint()
@@ -51,8 +59,8 @@ func decodeDCGRef(data []byte) (*wpp.CallNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.Children = append(n.Children, child)
-			n.ChildPos = append(n.ChildPos, pos)
+			n.children = append(n.children, child)
+			n.childPos = append(n.childPos, pos)
 		}
 		return n, nil
 	}
@@ -64,6 +72,22 @@ func decodeDCGRef(data []byte) (*wpp.CallNode, error) {
 		return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: %d trailing bytes after DCG", c.Len())
 	}
 	return root, nil
+}
+
+// flattenRef lists the reference tree's calls as DCG rows, in
+// preorder.
+func flattenRef(root *refNode) trace.DCG {
+	var d trace.DCG
+	var rec func(n *refNode, pos int)
+	rec = func(n *refNode, pos int) {
+		i := d.Open(n.fn, pos)
+		for k, ch := range n.children {
+			rec(ch, n.childPos[k])
+		}
+		d.Close(i, n.trace)
+	}
+	rec(root, 0)
+	return d
 }
 
 // nestedWPP is a trace whose calls nest depth deep, each level calling
@@ -90,9 +114,10 @@ func nestedWPP(depth int) *trace.RawWPP {
 	return b.Finish()
 }
 
-// FuzzDecodeDCG requires the slab decoder and the reference decoder to
-// build reflect.DeepEqual trees, and to fail with reflect.DeepEqual
-// errors (code, offset, message and cause), on arbitrary bytes.
+// FuzzDecodeDCG requires the row decoder and the flattened reference
+// decoder to build reflect.DeepEqual DCGs, and to fail with
+// reflect.DeepEqual errors (code, offset, message and cause), on
+// arbitrary bytes.
 func FuzzDecodeDCG(f *testing.F) {
 	for _, w := range []*trace.RawWPP{
 		sampleWPP(rand.New(rand.NewSource(1)), 1),
@@ -100,7 +125,7 @@ func FuzzDecodeDCG(f *testing.F) {
 		nestedWPP(6),
 	} {
 		c, _ := wpp.Compact(w)
-		enc := EncodeDCG(core.FromCompacted(c).Root)
+		enc := EncodeDCG(&c.DCG)
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 		f.Add(append(append([]byte(nil), enc...), 0))
@@ -111,13 +136,13 @@ func FuzzDecodeDCG(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0x80})       // truncated position delta
 	f.Add([]byte{0xff, 0xff, 0xff, 0}) // unterminated function id
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, gotErr := decodeDCG(data)
-		want, wantErr := decodeDCGRef(data)
+		got, gotErr := new(dcgScratch).decodeDCG(data)
+		ref, wantErr := decodeDCGRef(data)
 		if !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("decodeDCG error %v, reference %v", gotErr, wantErr)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("decodeDCG tree differs from the reference")
+		if wantErr == nil && !reflect.DeepEqual(got, flattenRef(ref)) {
+			t.Fatal("decodeDCG differs from the reference")
 		}
 	})
 }

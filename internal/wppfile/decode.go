@@ -15,6 +15,7 @@ import (
 	"twpp/internal/core"
 	"twpp/internal/encoding"
 	"twpp/internal/storage"
+	"twpp/internal/trace"
 	"twpp/internal/wpp"
 )
 
@@ -184,98 +185,74 @@ const maxDCGDepth = 1 << 20
 
 // decodeDCG decodes the preorder DCG encoding (function, trace index,
 // child count, then per child its position delta and subtree) in two
-// passes over the same walker. The first pass only counts nodes and
-// child slots, failing exactly where the build would; the second
-// carves every node and every Children/ChildPos slice from three slabs
-// sized by that count, so the tree costs three allocations whatever
-// its call count, and a hostile section is rejected before any slab
-// is sized by it.
-func decodeDCG(data []byte) (*wpp.CallNode, error) {
-	d := dcgDecoder{c: encoding.NewCursor(data)}
-	if _, err := d.decode(); err != nil {
-		return nil, err
-	}
-	d = dcgDecoder{
-		c:     encoding.NewCursor(data),
-		nodes: make([]wpp.CallNode, d.nodeCount),
-		kids:  make([]*wpp.CallNode, d.kidCount),
-		pos:   make([]int, d.kidCount),
-		build: true,
-	}
-	return d.decode()
-}
-
-// dcgDecoder is one decodeDCG pass. Counting, it only advances
-// nodeCount and kidCount; building, it takes the next node and the
-// next child slots from the slabs.
-type dcgDecoder struct {
-	c                   *encoding.Cursor
-	nodes               []wpp.CallNode
-	kids                []*wpp.CallNode
-	pos                 []int
-	nodeCount, kidCount int
-	build               bool
-}
-
-// decode walks the whole encoding: the root's subtree, then nothing.
-func (d *dcgDecoder) decode() (*wpp.CallNode, error) {
-	root, err := d.node(0)
+// passes of dcgRows. The first only counts rows, failing exactly where
+// the fill would; the second fills four columns sized by that count,
+// so the DCG costs four allocations whatever its call count, and a
+// hostile section is rejected before any column is sized by it.
+func (s *dcgScratch) decodeDCG(data []byte) (trace.DCG, error) {
+	n, err := s.dcgRows(data, nil)
 	if err != nil {
-		return nil, err
+		return trace.DCG{}, err
 	}
-	if !d.c.Done() {
-		return nil, encoding.Errf(encoding.CodeCorrupt, int64(d.c.Pos()), "wppfile: %d trailing bytes after DCG", d.c.Len())
-	}
-	return root, nil
+	d := trace.DCG{Fn: make([]cfg.FuncID, n), Trace: make([]int, n), Pos: make([]int, n), End: make([]int, n)}
+	_, err = s.dcgRows(data, &d)
+	return d, err
 }
 
-// node decodes one subtree at the given nesting depth; it returns nil
-// while counting.
-func (d *dcgDecoder) node(depth int) (*wpp.CallNode, error) {
-	c := d.c
-	if depth > maxDCGDepth {
-		return nil, encoding.Errf(encoding.CodeLimit, int64(c.Pos()), "wppfile: DCG nesting too deep")
-	}
-	// Function, trace index and child count, in one batch: it fails
-	// at the same value and offset as three single reads would.
-	var hdr [3]uint64
-	if err := c.UvarintBatch(hdr[:]); err != nil {
-		return nil, err
-	}
-	fn, ti, nc := hdr[0], hdr[1], hdr[2]
-	if nc > uint64(c.Len()) {
-		return nil, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: DCG child count %d too large", nc)
-	}
-	var n *wpp.CallNode
-	if d.build {
-		n = &d.nodes[d.nodeCount]
-		n.Fn, n.TraceIdx = cfg.FuncID(fn), int(ti)
-		if nc > 0 {
-			k := d.kidCount
-			n.Children = d.kids[k : k+int(nc) : k+int(nc)]
-			n.ChildPos = d.pos[k : k+int(nc) : k+int(nc)]
+// dcgFrame is an open call of dcgRows: its row, how many of its
+// children are still to decode, and the last one's position.
+type dcgFrame struct{ row, left, prev int }
+
+// dcgRows walks the whole encoding row by row, nesting on s.stack
+// rather than recursing: the root's subtree, then nothing. It returns
+// the row count, filling d's columns when d is non-nil.
+func (s *dcgScratch) dcgRows(data []byte, d *trace.DCG) (int, error) {
+	c := encoding.NewCursor(data)
+	stack := s.stack[:0]
+	defer func() { s.stack = stack }()
+	rows, pos := 0, 0
+	for {
+		if len(stack) > maxDCGDepth {
+			return 0, encoding.Errf(encoding.CodeLimit, int64(c.Pos()), "wppfile: DCG nesting too deep")
 		}
-	}
-	d.nodeCount++
-	d.kidCount += int(nc)
-	prev := 0
-	for i := 0; i < int(nc); i++ {
+		// Function, trace index and child count, in one batch: it fails
+		// at the same value and offset as three single reads would.
+		var hdr [3]uint64
+		if err := c.UvarintBatch(hdr[:]); err != nil {
+			return 0, err
+		}
+		fn, ti, nc := hdr[0], hdr[1], hdr[2]
+		if nc > uint64(c.Len()) {
+			return 0, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: DCG child count %d too large", nc)
+		}
+		if d != nil {
+			d.Fn[rows], d.Trace[rows], d.Pos[rows] = cfg.FuncID(fn), int(ti), pos
+		}
+		stack = append(stack, dcgFrame{row: rows, left: int(nc)})
+		rows++
+		// Close every call whose children are all decoded; the next row
+		// is the innermost open call's next child.
+		for stack[len(stack)-1].left == 0 {
+			if d != nil {
+				d.End[stack[len(stack)-1].row] = rows
+			}
+			stack = stack[:len(stack)-1]
+			if len(stack) == 0 {
+				if !c.Done() {
+					return 0, encoding.Errf(encoding.CodeCorrupt, int64(c.Pos()), "wppfile: %d trailing bytes after DCG", c.Len())
+				}
+				return rows, nil
+			}
+		}
+		top := &stack[len(stack)-1]
+		top.left--
 		delta, err := c.Uvarint()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		p := prev + int(delta)
-		prev = p
-		child, err := d.node(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		if n != nil {
-			n.Children[i] = child
-			n.ChildPos[i] = p
-		}
+		top.prev += int(delta)
+		pos = top.prev
 	}
-	return n, nil
 }
 
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@ import (
 	"twpp/internal/core"
 	"twpp/internal/encoding"
 	"twpp/internal/lzw"
+	"twpp/internal/trace"
 	"twpp/internal/wpp"
 )
 
@@ -129,7 +130,7 @@ func EncodeCompactedFormat(t *core.TWPP, workers, format int) ([]byte, error) {
 		parts[i] = nil
 	}
 
-	dcg := lzw.Compress(EncodeDCG(t.Root))
+	dcg := lzw.Compress(EncodeDCG(&t.DCG))
 	return assembleImage(t.FuncNames, index, dcg, blocks, format), nil
 }
 
@@ -281,25 +282,32 @@ func TraceRecordLen(dictIdx int, tr *core.Trace) int {
 	return n
 }
 
-// EncodeDCG serializes the compacted DCG (function, unique trace
-// index, children with positions) in preorder: the bytes a container
-// stores LZW-compressed.
-func EncodeDCG(root *wpp.CallNode) []byte {
+// EncodeDCG serializes the compacted DCG in preorder: per call its
+// function, unique trace index and child count, then per child its
+// position delta before the child's own encoding. These are the bytes
+// a container stores LZW-compressed.
+func EncodeDCG(d *trace.DCG) []byte {
 	var buf []byte
-	var rec func(n *wpp.CallNode)
-	rec = func(n *wpp.CallNode) {
-		buf = encoding.PutUvarint(buf, uint64(n.Fn))
-		buf = encoding.PutUvarint(buf, uint64(n.TraceIdx))
-		buf = encoding.PutUvarint(buf, uint64(len(n.Children)))
-		prev := 0
-		for i, c := range n.Children {
-			buf = encoding.PutUvarint(buf, uint64(n.ChildPos[i]-prev))
-			prev = n.ChildPos[i]
-			rec(c)
+	// The open calls' subtree ends and last child positions.
+	type open struct{ end, prev int }
+	var stack []open
+	for i := 0; i < d.Len(); i++ {
+		for len(stack) > 0 && stack[len(stack)-1].end <= i {
+			stack = stack[:len(stack)-1]
 		}
-	}
-	if root != nil {
-		rec(root)
+		if len(stack) > 0 {
+			p := &stack[len(stack)-1]
+			buf = encoding.PutUvarint(buf, uint64(d.Pos[i]-p.prev))
+			p.prev = d.Pos[i]
+		}
+		kids := 0
+		for c := i + 1; c < d.End[i]; c = d.End[c] {
+			kids++
+		}
+		buf = encoding.PutUvarint(buf, uint64(d.Fn[i]))
+		buf = encoding.PutUvarint(buf, uint64(d.Trace[i]))
+		buf = encoding.PutUvarint(buf, uint64(kids))
+		stack = append(stack, open{end: d.End[i]})
 	}
 	return buf
 }

@@ -20,6 +20,7 @@ import (
 	"twpp/internal/encoding"
 	"twpp/internal/lzw"
 	"twpp/internal/storage"
+	"twpp/internal/trace"
 	"twpp/internal/wpp"
 )
 
@@ -404,20 +405,24 @@ func (cf *CompactedFile) ContentHash() (uint64, bool) {
 }
 
 // dcgScratch is ReadDCG's pooled working memory: the stored section
-// bytes and their decompression. The decoded tree references neither.
-type dcgScratch struct{ stored, raw []byte }
+// bytes, their decompression and the decoder's stack of open calls.
+// The decoded DCG references none of them.
+type dcgScratch struct {
+	stored, raw []byte
+	stack       []dcgFrame
+}
 
 var dcgScratchPool = sync.Pool{New: func() any { return new(dcgScratch) }}
 
-// ReadDCG reads and decodes the dynamic call graph into a fresh tree
+// ReadDCG reads and decodes the dynamic call graph into fresh columns
 // the caller owns. On v2 files the section checksum is verified the
 // first time (racing first readers may both verify; the check is
 // idempotent). The decompressed size is capped by
 // OpenOptions.MaxTraceBytes, so a hostile DCG section cannot balloon
 // (LZW expands up to ~65000x).
-func (cf *CompactedFile) ReadDCG() (*wpp.CallNode, error) {
+func (cf *CompactedFile) ReadDCG() (trace.DCG, error) {
 	if cf.closed.Load() {
-		return nil, fmt.Errorf("wppfile: read DCG: %w", os.ErrClosed)
+		return trace.DCG{}, fmt.Errorf("wppfile: read DCG: %w", os.ErrClosed)
 	}
 	s := dcgScratchPool.Get().(*dcgScratch)
 	defer dcgScratchPool.Put(s)
@@ -427,13 +432,13 @@ func (cf *CompactedFile) ReadDCG() (*wpp.CallNode, error) {
 	buf := s.stored[:cf.dcgLen]
 	if _, err := cf.b.ReadAt(buf, cf.dcgOffset); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, encoding.Wrap(encoding.CodeTruncated, cf.dcgOffset, err, "wppfile: short read of DCG section")
+			return trace.DCG{}, encoding.Wrap(encoding.CodeTruncated, cf.dcgOffset, err, "wppfile: short read of DCG section")
 		}
-		return nil, err
+		return trace.DCG{}, err
 	}
 	if !cf.dcgVerified.Load() {
 		if got := Checksum(buf); got != cf.dcgCRC {
-			return nil, checksumErr("DCG section", cf.dcgOffset, cf.dcgCRC, got)
+			return trace.DCG{}, checksumErr("DCG section", cf.dcgOffset, cf.dcgCRC, got)
 		}
 		cf.dcgVerified.Store(true)
 	}
@@ -446,11 +451,11 @@ func (cf *CompactedFile) ReadDCG() (*wpp.CallNode, error) {
 		var err error
 		raw, err = lzw.AppendDecompress(s.raw[:0], buf, int(max))
 		if err != nil {
-			return nil, encoding.Wrap(encoding.CodeCorrupt, cf.dcgOffset, err, "wppfile: DCG")
+			return trace.DCG{}, encoding.Wrap(encoding.CodeCorrupt, cf.dcgOffset, err, "wppfile: DCG")
 		}
 		s.raw = raw
 	}
-	return decodeDCG(raw)
+	return s.decodeDCG(raw)
 }
 
 // ReadAll reconstructs the complete TWPP from the file, decoding the
@@ -470,13 +475,13 @@ func (cf *CompactedFile) ReadAll() (*core.TWPP, error) {
 // Each job writes only its own result slot and records its own error;
 // a job is skipped once an earlier job has failed, and the first
 // error in job order is returned: the error a sequential decode
-// reports. After the jobs, every DCG node's (function, trace)
+// reports. After the jobs, every DCG row's (function, trace)
 // reference is validated against the decoded blocks, so downstream
 // walkers (reconstruction, slicing, queries) can index Funcs and
 // Traces without re-checking corrupt input; badRef builds the error
-// for the first node that fails.
+// for the first row that fails.
 func Assemble(names []string, order []cfg.FuncID,
-	readDCG func() (*wpp.CallNode, error),
+	readDCG func() (trace.DCG, error),
 	extract func(cfg.FuncID) (*core.FunctionTWPP, error),
 	badRef func(fn cfg.FuncID, traceIdx int) error) (*core.TWPP, error) {
 	maxFn := len(names)
@@ -499,7 +504,7 @@ func Assemble(names []string, order []cfg.FuncID,
 		}
 		var err error
 		if i == 0 {
-			t.Root, err = readDCG()
+			t.DCG, err = readDCG()
 		} else {
 			var ft *core.FunctionTWPP
 			if ft, err = extract(order[i-1]); err == nil {
@@ -522,23 +527,10 @@ func Assemble(names []string, order []cfg.FuncID,
 			return nil, err
 		}
 	}
-	var walk func(n *wpp.CallNode) error
-	walk = func(n *wpp.CallNode) error {
-		if n == nil {
-			return nil
+	for i, fn := range t.DCG.Fn {
+		if ti := t.DCG.Trace[i]; fn < 0 || int(fn) >= len(t.Funcs) || ti < 0 || ti >= len(t.Funcs[fn].Traces) {
+			return nil, badRef(fn, ti)
 		}
-		if int(n.Fn) >= len(t.Funcs) || n.TraceIdx < 0 || n.TraceIdx >= len(t.Funcs[n.Fn].Traces) {
-			return badRef(n.Fn, n.TraceIdx)
-		}
-		for _, ch := range n.Children {
-			if err := walk(ch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.Root); err != nil {
-		return nil, err
 	}
 	return t, nil
 }

@@ -1,12 +1,16 @@
 package wppfile_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"twpp/internal/cfg"
 	"twpp/internal/core"
+	"twpp/internal/encoding"
 	"twpp/internal/testkit"
+	"twpp/internal/trace"
 	"twpp/internal/wpp"
 	"twpp/internal/wppfile"
 )
@@ -85,17 +89,7 @@ func TestRawTruncationAlwaysErrors(t *testing.T) {
 
 // TestEncodeCompactedDegenerate covers the degenerate single-call WPP.
 func TestEncodeCompactedDegenerate(t *testing.T) {
-	tw := &core.TWPP{
-		FuncNames: []string{"main"},
-		Root:      &wpp.CallNode{Fn: 0, TraceIdx: 0},
-		Funcs: []core.FunctionTWPP{{
-			Fn:        0,
-			Traces:    []*core.Trace{core.FromPath(wpp.PathTrace{1})},
-			Dicts:     []wpp.Dictionary{{}},
-			DictOf:    []int{0},
-			CallCount: 1,
-		}},
-	}
+	tw := tinyTWPP()
 	p := filepath.Join(t.TempDir(), "tiny.twpp")
 	if err := wppfile.WriteCompacted(p, tw); err != nil {
 		t.Fatal(err)
@@ -111,5 +105,47 @@ func TestEncodeCompactedDegenerate(t *testing.T) {
 	}
 	if len(tw2.Funcs) != 1 || tw2.Funcs[0].CallCount != 1 {
 		t.Errorf("degenerate round trip: %+v", tw2.Funcs)
+	}
+}
+
+// ReadAll rejects a DCG row naming a function or trace the container
+// lacks as corrupt, including a function id whose varint decodes
+// negative, rather than indexing with it.
+func TestReadAllRejectsMissingReference(t *testing.T) {
+	for _, bad := range []struct {
+		fn    cfg.FuncID
+		trace int
+	}{{-1, 0}, {5, 0}, {0, 3}} {
+		tw := tinyTWPP()
+		tw.DCG.Fn[0], tw.DCG.Trace[0] = bad.fn, bad.trace
+		data, err := wppfile.EncodeCompacted(tw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := wppfile.OpenCompactedBytes(data, wppfile.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cf.ReadAll()
+		var de *encoding.Error
+		if !errors.As(err, &de) || de.Code != encoding.CodeCorrupt {
+			t.Errorf("call of function %d trace %d: ReadAll error %v, want corrupt", bad.fn, bad.trace, err)
+		}
+		cf.Close()
+	}
+}
+
+// tinyTWPP is the degenerate single-call TWPP.
+func tinyTWPP() *core.TWPP {
+	return &core.TWPP{
+		FuncNames: []string{"main"},
+		DCG:       trace.DCG{Fn: []cfg.FuncID{0}, Trace: []int{0}, Pos: []int{0}, End: []int{1}},
+		Funcs: []core.FunctionTWPP{{
+			Fn:        0,
+			Traces:    []*core.Trace{core.FromPath(wpp.PathTrace{1})},
+			Dicts:     []wpp.Dictionary{{}},
+			DictOf:    []int{0},
+			CallCount: 1,
+		}},
 	}
 }

@@ -100,11 +100,11 @@ func TestScanRawForFunction(t *testing.T) {
 		}
 		// Reference: walk the in-memory WPP in preorder.
 		var want []wpp.PathTrace
-		w.Walk(func(n *trace.CallNode) {
-			if n.Fn == fn {
-				want = append(want, wpp.PathTrace(w.Traces[n.Trace]))
+		for i, f := range w.DCG.Fn {
+			if f == fn {
+				want = append(want, wpp.PathTrace(w.Traces[w.DCG.Trace[i]]))
 			}
-		})
+		}
 		// ScanRaw records traces at EXIT time; for non-recursive calls
 		// at the same depth the order matches preorder. Compare as
 		// multisets via sorting by content.
@@ -311,7 +311,7 @@ func TestDecodeRejectsMalformedDictionary(t *testing.T) {
 		"repeated head":         {{9, []uint64{9, 5}}, {9, []uint64{9, 5}}},
 	}
 	tr := core.FromPath(wpp.PathTrace{9})
-	dcg := lzw.Compress(EncodeDCG(&wpp.CallNode{Fn: 0, TraceIdx: 0}))
+	dcg := lzw.Compress(EncodeDCG(&trace.DCG{Fn: []cfg.FuncID{0}, Trace: []int{0}, Pos: []int{0}, End: []int{1}}))
 	for name, chains := range cases {
 		blk := encoding.PutUvarint(nil, 1) // call count
 		blk = encoding.PutUvarint(blk, 1)  // dictionaries
