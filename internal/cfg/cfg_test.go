@@ -145,11 +145,11 @@ func main() {
 	// The loop head must be reachable from the continue path; the
 	// after-loop block from the break path. Smoke test: graph connected,
 	// has a back edge.
-	dom := Dominators(g)
+	dom := dominators(g)
 	backEdges := 0
 	for _, b := range g.Blocks {
 		for _, s := range b.Succs {
-			if dom.Dominates(s, b) {
+			if dominates(dom, s, b) {
 				backEdges++
 			}
 		}
@@ -293,6 +293,24 @@ func main() {
 	}
 }
 
+// dominators computes the dominator tree rooted at the entry, the
+// forward direction of the algorithm behind PostDominators.
+func dominators(g *Graph) *DomTree {
+	return computeDom(g.Entry, func(b *Block) []*Block { return b.Preds },
+		func(b *Block) []*Block { return b.Succs })
+}
+
+// dominates reports whether a dominates b in d (reflexive).
+func dominates(d *DomTree, a, b *Block) bool {
+	for b != nil {
+		if a == b {
+			return true
+		}
+		b = d.Idom(b)
+	}
+	return false
+}
+
 // naiveDominators computes dominators by the textbook dataflow
 // definition for cross-checking.
 func naiveDominators(g *Graph, entry *Block, preds func(*Block) []*Block, succs func(*Block) []*Block) map[*Block]map[*Block]bool {
@@ -424,7 +442,7 @@ func TestDominatorsAgainstNaive(t *testing.T) {
 		src := randomProgram(rng)
 		for _, mode := range []Mode{MaxBlocks, PerStatement} {
 			g := build(t, src, mode).Graphs[0]
-			fast := Dominators(g)
+			fast := dominators(g)
 			naive := naiveDominators(g, g.Entry,
 				func(b *Block) []*Block { return b.Preds },
 				func(b *Block) []*Block { return b.Succs })
@@ -434,7 +452,7 @@ func TestDominatorsAgainstNaive(t *testing.T) {
 						continue // unreachable
 					}
 					want := naive[b2][a]
-					got := fast.Dominates(a, b2)
+					got := dominates(fast, a, b2)
 					if got != want {
 						t.Fatalf("trial %d: Dominates(B%d, B%d) = %v, want %v\nsrc:\n%s\ncfg:\n%s",
 							trial, a.ID, b2.ID, got, want, src, g)
@@ -460,7 +478,7 @@ func TestPostDominatorsAgainstNaive(t *testing.T) {
 					continue
 				}
 				want := naive[b2][a]
-				got := fast.Dominates(a, b2)
+				got := dominates(fast, a, b2)
 				if got != want {
 					t.Fatalf("trial %d: PostDominates(B%d, B%d) = %v, want %v\nsrc:\n%s\ncfg:\n%s",
 						trial, a.ID, b2.ID, got, want, src, g)

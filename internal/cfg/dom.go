@@ -8,36 +8,15 @@ package cfg
 // dependent on branch b when b has a successor s with n postdominating
 // s but n not (strictly) postdominating b.
 
-// DomTree holds immediate-dominator information for a graph. Idom[b]
-// is nil for the root.
+// DomTree holds immediate-dominator information for a graph.
 type DomTree struct {
-	root *Block
 	// idom maps each reachable block to its immediate dominator.
 	idom map[*Block]*Block
-	// order is a reverse postorder numbering used by queries.
-	order map[*Block]int
 }
 
 // Idom returns the immediate dominator of b (nil for the root or for
 // blocks unreachable from the root).
 func (d *DomTree) Idom(b *Block) *Block { return d.idom[b] }
-
-// Dominates reports whether a dominates b (reflexive).
-func (d *DomTree) Dominates(a, b *Block) bool {
-	for b != nil {
-		if a == b {
-			return true
-		}
-		b = d.idom[b]
-	}
-	return false
-}
-
-// Dominators computes the dominator tree rooted at the entry.
-func Dominators(g *Graph) *DomTree {
-	return computeDom(g.Entry, func(b *Block) []*Block { return b.Preds },
-		func(b *Block) []*Block { return b.Succs })
-}
 
 // PostDominators computes the postdominator tree rooted at the exit
 // (successor and predecessor roles swap).
@@ -76,7 +55,7 @@ func computeDom(root *Block, preds, succs func(*Block) []*Block) *DomTree {
 
 	idom := map[*Block]*Block{}
 	if root == nil {
-		return &DomTree{idom: idom, order: index}
+		return &DomTree{idom: idom}
 	}
 	idom[root] = root
 
@@ -118,7 +97,7 @@ func computeDom(root *Block, preds, succs func(*Block) []*Block) *DomTree {
 	}
 	// Normalize: the root's idom is nil externally.
 	idom[root] = nil
-	return &DomTree{root: root, idom: idom, order: index}
+	return &DomTree{idom: idom}
 }
 
 // ControlDeps computes, for every block, the set of branch blocks it is

@@ -18,12 +18,12 @@ func FuzzDecodeSigned(f *testing.F) {
 			}
 			vals[i] = v
 		}
-		seq, err := DecodeSigned(vals)
+		seq, err := DecodeSignedAppend(nil, vals)
 		if err != nil {
 			return
 		}
 		back := seq.EncodeSigned(nil)
-		seq2, err := DecodeSigned(back)
+		seq2, err := DecodeSignedAppend(nil, back)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded stream failed: %v (vals %v)", err, vals)
 		}

@@ -271,19 +271,13 @@ func (s Seq) EncodeSigned(dst []int64) []int64 {
 	return dst
 }
 
-// DecodeSigned parses a sign-terminated stream produced by
-// EncodeSigned, consuming entries until the stream is exhausted. An
-// entry is one to three values, terminated by its single negative
-// value.
-func DecodeSigned(vals []int64) (Seq, error) {
-	return DecodeSignedAppend(nil, vals)
-}
-
-// DecodeSignedAppend is DecodeSigned appending the decoded entries to
-// dst, which may be pre-allocated (or carved from an arena) to make
-// the decode allocation-free: a stream of n values decodes to at most
-// n entries, so a dst with n spare capacity never grows. It performs
-// no allocations of its own beyond growing dst.
+// DecodeSignedAppend parses a sign-terminated stream produced by
+// EncodeSigned, consuming entries until the stream is exhausted, and
+// appends them to dst. An entry is one to three values, terminated by
+// its single negative value. dst may be pre-allocated (or carved from
+// an arena) to make the decode allocation-free: a stream of n values
+// decodes to at most n entries, so a dst with n spare capacity never
+// grows. It performs no allocations of its own beyond growing dst.
 func DecodeSignedAppend(dst Seq, vals []int64) (Seq, error) {
 	out := dst
 	var pend [2]int64

@@ -76,9 +76,9 @@ func TestEncodeSignedEdgeCases(t *testing.T) {
 			if !reflect.DeepEqual(got, tc.wire) {
 				t.Fatalf("EncodeSigned = %v, want %v", got, tc.wire)
 			}
-			back, err := DecodeSigned(got)
+			back, err := DecodeSignedAppend(nil, got)
 			if err != nil {
-				t.Fatalf("DecodeSigned(%v): %v", got, err)
+				t.Fatalf("DecodeSignedAppend(%v): %v", got, err)
 			}
 			if len(back) != len(tc.seq) {
 				t.Fatalf("round trip %v -> %v", tc.seq, back)
@@ -113,8 +113,8 @@ func TestDecodeSignedEdgeErrors(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if seq, err := DecodeSigned(tc.wire); err == nil {
-				t.Fatalf("DecodeSigned(%v) accepted hostile input: %v", tc.wire, seq)
+			if seq, err := DecodeSignedAppend(nil, tc.wire); err == nil {
+				t.Fatalf("DecodeSignedAppend(%v) accepted hostile input: %v", tc.wire, seq)
 			}
 		})
 	}

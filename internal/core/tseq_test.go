@@ -56,7 +56,7 @@ func TestSeriesRoundTripQuick(t *testing.T) {
 			return len(ts) == 0 && s.Count() == 0
 		}
 		// Wire round trip.
-		dec, err := DecodeSigned(s.EncodeSigned(nil))
+		dec, err := DecodeSignedAppend(nil, s.EncodeSigned(nil))
 		if err != nil {
 			return false
 		}
@@ -99,14 +99,14 @@ func TestDecodeSignedErrors(t *testing.T) {
 		{3, 5, -0},
 	}
 	for _, c := range cases {
-		if _, err := DecodeSigned(c); err == nil {
-			t.Errorf("DecodeSigned(%v): want error", c)
+		if _, err := DecodeSignedAppend(nil, c); err == nil {
+			t.Errorf("DecodeSignedAppend(%v): want error", c)
 		}
 	}
 }
 
 func TestDecodeSignedForms(t *testing.T) {
-	s, err := DecodeSigned([]int64{-1, 2, -6, 10, 20, -5})
+	s, err := DecodeSignedAppend(nil, []int64{-1, 2, -6, 10, 20, -5})
 	if err != nil {
 		t.Fatal(err)
 	}

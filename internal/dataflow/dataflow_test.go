@@ -313,19 +313,9 @@ func TestReachingDefs(t *testing.T) {
 		}
 	}
 
-	deps := r.DataDeps()
-	if len(deps[yAssign]) != 2 {
-		t.Errorf("data deps of y=x+1: %v", deps[yAssign])
-	}
 	printBlk := find("print(y);")
-	found := false
-	for _, d := range deps[printBlk] {
-		if d == yAssign {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("print(y) deps %v missing y=x+1 (B%d)", deps[printBlk], yAssign)
+	if defsOfY := r.DefsReaching(printBlk, cfg.Loc{Var: "y"}); len(defsOfY) != 1 || defsOfY[0] != yAssign {
+		t.Errorf("defs of y reaching print(y): %v, want [B%d]", defsOfY, yAssign)
 	}
 }
 

@@ -18,7 +18,6 @@ type defSite struct {
 
 // ReachInfo holds the result of reaching-definitions analysis.
 type ReachInfo struct {
-	g *cfg.Graph
 	// in[b] is the set of def-site ids reaching the entry of block b.
 	in map[cfg.BlockID]map[int]bool
 	// sites indexes def sites by id.
@@ -33,7 +32,6 @@ type ReachInfo struct {
 // slicing examples of the paper use.
 func ReachingDefs(g *cfg.Graph) *ReachInfo {
 	r := &ReachInfo{
-		g:      g,
 		in:     make(map[cfg.BlockID]map[int]bool),
 		defsOf: make(map[cfg.Loc][]int),
 	}
@@ -134,31 +132,5 @@ func (r *ReachInfo) DefsReaching(b cfg.BlockID, loc cfg.Loc) []cfg.BlockID {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// DataDeps returns the static data dependence edges of the function:
-// for each block, the blocks whose definitions it may use. This plus
-// control dependence forms the static PDG.
-func (r *ReachInfo) DataDeps() map[cfg.BlockID][]cfg.BlockID {
-	out := make(map[cfg.BlockID][]cfg.BlockID)
-	for _, b := range r.g.Blocks {
-		eff := cfg.BlockEffects(b)
-		set := map[cfg.BlockID]bool{}
-		for _, u := range eff.Uses {
-			for _, d := range r.DefsReaching(b.ID, u) {
-				set[d] = true
-			}
-		}
-		if len(set) == 0 {
-			continue
-		}
-		deps := make([]cfg.BlockID, 0, len(set))
-		for id := range set {
-			deps = append(deps, id)
-		}
-		sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-		out[b.ID] = deps
-	}
 	return out
 }

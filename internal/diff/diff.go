@@ -121,6 +121,10 @@ func openContainer(path string, open wppfile.OpenOptions) (wppfile.Container, er
 	return wppfile.OpenCompactedOptions(path, open)
 }
 
+// identityPoll is how many expanded blocks TraceIdentity hashes
+// between two polls of its context.
+const identityPoll = 1 << 16
+
 // TraceIdentity returns the content identity of one unique trace of a
 // decoded function block: the 64-bit FNV-1a hash (16 hex digits) of
 // its fully dictionary-expanded block sequence, plus the expanded
@@ -128,8 +132,10 @@ func openContainer(path string, open wppfile.OpenOptions) (wppfile.Container, er
 // whose trace indices, dictionaries, or segment layouts differ. It
 // hashes chain by chain instead of calling FunctionTWPP.Expand: diff
 // has no expansion bound, and a materialized expansion would let a
-// small hostile container allocate trace length × chain length.
-func TraceIdentity(ft *core.FunctionTWPP, idx int) (key string, expLen int, err error) {
+// small hostile container allocate trace length × chain length. The
+// expansion can still be that long, so ctx is polled once per
+// identityPoll expanded blocks.
+func TraceIdentity(ctx context.Context, ft *core.FunctionTWPP, idx int) (key string, expLen int, err error) {
 	dict, err := ft.Dict(idx)
 	if err != nil {
 		return "", 0, err
@@ -139,15 +145,20 @@ func TraceIdentity(ft *core.FunctionTWPP, idx int) (key string, expLen int, err 
 		return "", 0, err
 	}
 	h := wpp.HashStart
+	var one [1]cfg.BlockID
 	for _, id := range path {
-		if chain, ok := dict[id]; ok {
-			for _, b := range chain {
-				h = wpp.Mix(h, uint32(b))
+		chain, ok := dict[id]
+		if !ok {
+			one[0] = id
+			chain = one[:]
+		}
+		for _, b := range chain {
+			h = wpp.Mix(h, uint32(b))
+			if expLen++; expLen%identityPoll == 0 {
+				if err := ctx.Err(); err != nil {
+					return "", 0, err
+				}
 			}
-			expLen += len(chain)
-		} else {
-			h = wpp.Mix(h, uint32(id))
-			expLen++
 		}
 	}
 	return fmt.Sprintf("%016x", h), expLen, nil
@@ -247,7 +258,7 @@ func summarizeOnce(ctx context.Context, c wppfile.Container) (map[string]*funcSu
 		var expanded int64
 		u := uses[fn]
 		for i := range ft.Traces {
-			key, el, err := TraceIdentity(ft, i)
+			key, el, err := TraceIdentity(ctx, ft, i)
 			if err != nil {
 				return nil, 0, err
 			}

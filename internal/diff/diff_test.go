@@ -12,9 +12,12 @@ package diff_test
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"twpp/internal/core"
 	"twpp/internal/diff"
@@ -176,5 +179,26 @@ func TestDiffSeesContentChanges(t *testing.T) {
 	}
 	if !sawDelta {
 		t.Fatal("no shape produced a non-empty diff between different seeds")
+	}
+}
+
+// A deadline stops the identity hashing of the side it expires in:
+// testkit.ExpansionProbe's expansion outlasts 100 ms, so the error
+// names side a and wraps context.DeadlineExceeded. No timing is
+// asserted.
+func TestContainersDeadlineStopsHashing(t *testing.T) {
+	data, err := wppfile.EncodeCompactedWorkers(testkit.ExpansionProbe(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := wppfile.OpenCompactedBytes(data, wppfile.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	r, err := diff.Containers(ctx, "a", "b", c, c, diff.DefaultOptions())
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "diff side a (a)") {
+		t.Fatalf("diff under a 100 ms deadline = %v, %v; want side a's deadline error", r, err)
 	}
 }

@@ -199,15 +199,6 @@ func (c *Cursor) Bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// Skip advances the cursor by n bytes.
-func (c *Cursor) Skip(n int) error {
-	if n < 0 || c.Len() < n {
-		return Errf(CodeTruncated, int64(c.pos), "cannot skip %d bytes, have %d: %v", n, c.Len(), ErrTruncated)
-	}
-	c.pos += n
-	return nil
-}
-
 // String reads a uvarint length followed by that many bytes.
 func (c *Cursor) String() (string, error) {
 	n, err := c.Uvarint()

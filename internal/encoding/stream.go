@@ -154,22 +154,6 @@ func (c *StreamCursor) Bytes(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Skip advances the cursor by n bytes.
-func (c *StreamCursor) Skip(n int) error {
-	if n < 0 || c.Len() < n {
-		return Errf(CodeTruncated, int64(c.pos), "cannot skip %d bytes, have %d: %v", n, c.Len(), ErrTruncated)
-	}
-	m, err := c.r.Discard(n)
-	c.pos += m
-	if err != nil {
-		if err == io.EOF {
-			return Errf(CodeTruncated, int64(c.pos-m), "cannot skip %d bytes, have %d: %v", n, m, ErrTruncated)
-		}
-		return err
-	}
-	return nil
-}
-
 // String reads a uvarint length followed by that many bytes.
 func (c *StreamCursor) String() (string, error) {
 	n, err := c.Uvarint()

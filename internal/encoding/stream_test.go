@@ -125,18 +125,6 @@ func TestStreamCursorErrors(t *testing.T) {
 			t.Fatalf("want truncated, got %v", err)
 		}
 	})
-	t.Run("negative skip", func(t *testing.T) {
-		c := streamOver([]byte{1})
-		if err := c.Skip(-1); !IsCode(err, CodeTruncated) {
-			t.Fatalf("want truncated, got %v", err)
-		}
-	})
-	t.Run("skip beyond known size", func(t *testing.T) {
-		c := streamOver([]byte{1, 2})
-		if err := c.Skip(5); !IsCode(err, CodeTruncated) {
-			t.Fatalf("want truncated, got %v", err)
-		}
-	})
 	t.Run("string with truncated body", func(t *testing.T) {
 		c := streamOver(append(PutUvarint(nil, 40), 'x'))
 		if _, err := c.String(); !IsCode(err, CodeTruncated) {
@@ -151,29 +139,12 @@ func TestStreamCursorErrors(t *testing.T) {
 	})
 }
 
-func TestStreamCursorSkip(t *testing.T) {
-	c := streamOver([]byte{1, 2, 3, 4})
-	if err := c.Skip(3); err != nil {
-		t.Fatal(err)
-	}
-	if c.Pos() != 3 || c.Len() != 1 {
-		t.Fatalf("Pos=%d Len=%d after Skip(3)", c.Pos(), c.Len())
-	}
-	b, err := c.Bytes(1)
-	if err != nil || b[0] != 4 {
-		t.Fatalf("Bytes = %v, %v", b, err)
-	}
-	if !c.Done() {
-		t.Error("cursor should be done")
-	}
-}
-
-// A skip that the declared size allows but the underlying stream
+// A read that the declared size allows but the underlying stream
 // cannot satisfy must surface as a structured truncation error: the
 // declared size header lied.
-func TestStreamCursorSkipLyingSize(t *testing.T) {
+func TestStreamCursorBytesLyingSize(t *testing.T) {
 	c := NewStreamCursor(strings.NewReader("ab"), 10)
-	if err := c.Skip(5); !IsCode(err, CodeTruncated) {
+	if _, err := c.Bytes(5); !IsCode(err, CodeTruncated) {
 		t.Fatalf("want truncated, got %v", err)
 	}
 }

@@ -12,7 +12,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0}, 1000))
 	f.Fuzz(func(t *testing.T, src []byte) {
-		got, err := Decompress(Compress(src))
+		got, err := decompress(Compress(src))
 		if err != nil {
 			t.Fatalf("round trip error: %v", err)
 		}
@@ -28,6 +28,6 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{0, 1, 2})
 	f.Add(Compress([]byte("hello hello")))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Decompress(data)
+		_, _ = decompress(data)
 	})
 }

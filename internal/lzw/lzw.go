@@ -129,21 +129,6 @@ func Compress(src []byte) []byte {
 	return w.out
 }
 
-// Decompress inverts Compress. It returns ErrCorrupt (possibly wrapped)
-// if src is not a valid stream.
-func Decompress(src []byte) ([]byte, error) {
-	return DecompressLimit(src, 0)
-}
-
-// DecompressLimit is Decompress with a cap on the decompressed size:
-// when the output would exceed max bytes it fails with a wrapped
-// ErrCorrupt instead of allocating further, bounding the memory a
-// hostile stream (LZW expands up to ~65000x) can force. max <= 0
-// disables the cap.
-func DecompressLimit(src []byte, max int) ([]byte, error) {
-	return AppendDecompress(nil, src, max)
-}
-
 // decodeTables is the decoder's working state: prefix[c] and suffix[c]
 // describe dynamically assigned codes (code c expands to the expansion
 // of prefix[c] followed by suffix[c]); expandBuf is the scratch the
@@ -178,12 +163,16 @@ func (t *decodeTables) expansion(code, next uint32) ([]byte, error) {
 
 var tablePool = sync.Pool{New: func() any { return new(decodeTables) }}
 
-// AppendDecompress is DecompressLimit appending the decompressed bytes
+// AppendDecompress inverts Compress, appending the decompressed bytes
 // to dst (which may be nil, or a recycled buffer truncated to zero
-// length) and returning the extended slice. The size cap applies to
-// the appended bytes, not dst's prior contents. The decoder's working
-// tables are pooled, so a decompress into a dst with sufficient spare
-// capacity performs no allocations.
+// length) and returning the extended slice. It returns ErrCorrupt
+// (possibly wrapped) if src is not a valid stream. max caps the
+// appended bytes, not dst's prior contents: when the output would
+// exceed it the decode fails with a wrapped ErrCorrupt instead of
+// allocating further, bounding the memory a hostile stream (LZW
+// expands up to ~65000x) can force; max <= 0 disables the cap. The
+// decoder's working tables are pooled, so a decompress into a dst
+// with sufficient spare capacity performs no allocations.
 func AppendDecompress(dst, src []byte, max int) ([]byte, error) {
 	r := &bitReader{in: src}
 	out := dst
@@ -250,14 +239,4 @@ func AppendDecompress(dst, src []byte, max int) ([]byte, error) {
 		}
 		prev = code
 	}
-}
-
-// Ratio reports the compression ratio original/compressed for the given
-// input, as a convenience for the benchmark tables. It returns 0 for
-// empty input.
-func Ratio(src []byte) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	return float64(len(src)) / float64(len(Compress(src)))
 }

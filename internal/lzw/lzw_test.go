@@ -8,12 +8,15 @@ import (
 	"testing/quick"
 )
 
+// decompress inverts Compress with no size cap.
+func decompress(src []byte) ([]byte, error) { return AppendDecompress(nil, src, 0) }
+
 func roundTrip(t *testing.T, src []byte) {
 	t.Helper()
 	comp := Compress(src)
-	got, err := Decompress(comp)
+	got, err := decompress(comp)
 	if err != nil {
-		t.Fatalf("Decompress(%d-byte input): %v", len(src), err)
+		t.Fatalf("decompress(%d-byte input): %v", len(src), err)
 	}
 	if !bytes.Equal(got, src) {
 		t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), len(src))
@@ -81,7 +84,7 @@ func TestRoundTripDictionaryOverflow(t *testing.T) {
 
 func TestRoundTripQuick(t *testing.T) {
 	f := func(src []byte) bool {
-		got, err := Decompress(Compress(src))
+		got, err := decompress(Compress(src))
 		return err == nil && bytes.Equal(got, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -104,8 +107,8 @@ func TestDecompressCorrupt(t *testing.T) {
 		{0xff, 0xff, 0xff}, // codes ahead of the dictionary
 	}
 	for _, c := range cases {
-		if _, err := Decompress(c); err == nil {
-			t.Errorf("Decompress(%v): want error", c)
+		if _, err := decompress(c); err == nil {
+			t.Errorf("decompress(%v): want error", c)
 		}
 	}
 }
@@ -117,19 +120,10 @@ func TestDecompressTruncations(t *testing.T) {
 	// than the full input (it must never succeed with the full output
 	// AND no error... truncations cut the EOF code or a data code).
 	for i := 0; i < len(comp)-1; i += 7 {
-		got, err := Decompress(comp[:i])
+		got, err := decompress(comp[:i])
 		if err == nil && bytes.Equal(got, src) {
 			t.Errorf("truncation to %d bytes decoded to full input without error", i)
 		}
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(nil) != 0 {
-		t.Error("Ratio(nil) != 0")
-	}
-	if r := Ratio([]byte(strings.Repeat("a", 10000))); r < 10 {
-		t.Errorf("Ratio of highly repetitive input = %.2f, want >= 10", r)
 	}
 }
 
@@ -148,7 +142,7 @@ func BenchmarkDecompress(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp); err != nil {
+		if _, err := decompress(comp); err != nil {
 			b.Fatal(err)
 		}
 	}

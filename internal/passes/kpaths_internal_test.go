@@ -130,7 +130,7 @@ func TestKPathsRejectsMissingTrace(t *testing.T) {
 	c, _ := wpp.Compact(b.Finish())
 	tw := core.FromCompacted(c)
 	tw.DCG.Trace[2] = 1 // main's second call of f
-	data, err := wppfile.EncodeCompacted(tw)
+	data, err := wppfile.EncodeCompactedWorkers(tw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,83 @@
 package sequitur
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// CheckInvariants verifies the structural invariants that Sequitur
+// guarantees unconditionally: every non-start rule has a body of at
+// least two symbols, is referenced at least twice (rule utility), has an
+// accurate reference count, and references only live rules. It returns a
+// descriptive error on the first violation.
+func (g *Grammar) CheckInvariants() error {
+	uses := make(map[uint32]int)
+	for id, r := range g.rules {
+		if r == nil {
+			continue
+		}
+		n := 0
+		for s := r.first(); !s.guard; s = s.next {
+			n++
+			if s.isNonterminal() {
+				uses[s.rule.id]++
+				if int(s.rule.id) >= len(g.rules) || g.rules[s.rule.id] != s.rule {
+					return fmt.Errorf("rule %d references freed rule %d", id, s.rule.id)
+				}
+			}
+		}
+		if id != 0 && n < 2 {
+			return fmt.Errorf("rule %d has body of length %d", id, n)
+		}
+	}
+	for id, r := range g.rules {
+		if r == nil || id == 0 {
+			continue
+		}
+		if uses[uint32(id)] != r.uses {
+			return fmt.Errorf("rule %d: recorded uses %d, actual %d", id, r.uses, uses[uint32(id)])
+		}
+		if r.uses < 2 {
+			return fmt.Errorf("rule %d used %d times (rule utility violated)", id, r.uses)
+		}
+	}
+	return nil
+}
+
+// DigramDuplicates counts distinct digrams that occur more than once in
+// the grammar, excluding self-overlapping runs (aaa). Sequitur keeps
+// this at or near zero; the inlining fast path can leave an occasional
+// unindexed duplicate, so this is a diagnostic rather than a hard
+// invariant.
+func (g *Grammar) DigramDuplicates() int {
+	count := make(map[uint64]int)
+	for _, r := range g.rules {
+		if r == nil {
+			continue
+		}
+		prevWasOverlap := false
+		for s := r.first(); !s.guard && !s.next.guard; s = s.next {
+			a, b := symValue(s), symValue(s.next)
+			if a == b && prevWasOverlap {
+				// Middle of a run like aaa: the overlapping digram is
+				// legitimately repeated.
+				continue
+			}
+			prevWasOverlap = a == b
+			count[digramKey(a, b)]++
+		}
+	}
+	dups := 0
+	for _, n := range count {
+		if n > 1 {
+			dups++
+		}
+	}
+	return dups
+}
 
 func build(input []uint32) *Grammar {
 	g := New()

@@ -9,38 +9,10 @@ import (
 
 	"twpp/internal/cfg"
 	"twpp/internal/cli"
-	"twpp/internal/passes"
 )
 
 // errNotFound marks lookups of absent mounts; classify maps it to 404.
 var errNotFound = errors.New("not found")
-
-// The query-route response shapes live in internal/passes (every
-// dispatch surface shares them); the aliases keep this package's
-// exported API and the testkit oracles stable.
-type (
-	// FuncInfo is one function's row in a FuncsResponse.
-	FuncInfo = passes.FuncInfo
-	// FuncsResponse lists a mounted file's functions, hottest first.
-	FuncsResponse = passes.FuncsResult
-	// BlockInfo is one dynamic block of a TWPP trace.
-	BlockInfo = passes.BlockInfo
-	// TraceInfo is one unique trace of a function.
-	TraceInfo = passes.TraceInfo
-	// TraceResponse is the full extraction of one function.
-	TraceResponse = passes.TraceResult
-	// StatsResponse summarizes one function without the trace dump.
-	StatsResponse = passes.StatsResult
-	// CFGNode is one node of a dynamic CFG.
-	CFGNode = passes.CFGNode
-	// CFGResponse is the timestamp-annotated dynamic CFG of one trace.
-	CFGResponse = passes.CFGResult
-	// QueryResponse is the resolution of a profile-limited GEN-KILL
-	// query.
-	QueryResponse = passes.QueryResult
-	// KPathsResponse is a k-iteration path profile (the kpaths pass).
-	KPathsResponse = passes.KPathsResult
-)
 
 // ErrorResponse is every non-2xx body: the message plus the structured
 // code class ("corrupt", "truncated", "limit", "canceled", "usage",

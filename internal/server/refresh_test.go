@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"twpp/internal/diff"
+	"twpp/internal/passes"
 	"twpp/internal/segment"
 	"twpp/internal/wppfile"
 )
@@ -79,7 +80,7 @@ func TestRefreshPicksUpAppendedSession(t *testing.T) {
 	if after.Body.String() == before.Body.String() {
 		t.Fatal("refresh served the old generation")
 	}
-	var stats StatsResponse
+	var stats passes.StatsResult
 	if err := json.Unmarshal(after.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}

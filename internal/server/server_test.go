@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"twpp/internal/core"
+	"twpp/internal/passes"
 	"twpp/internal/trace"
 	"twpp/internal/wpp"
 	"twpp/internal/wppfile"
@@ -265,7 +266,7 @@ func TestMountDiscipline(t *testing.T) {
 		t.Errorf("Mounts() = %v", got)
 	}
 	for _, name := range []string{"a", "b"} {
-		var resp FuncsResponse
+		var resp passes.FuncsResult
 		_, body := get(s, "/v1/"+name+"/funcs")
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"twpp/internal/cfg"
 	"twpp/internal/core"
-	"twpp/internal/minilang"
 	"twpp/internal/wpp"
 )
 
@@ -22,7 +21,7 @@ import (
 //
 //   - up: when a sliced use's value predates the frame (a parameter,
 //     or an array passed in), the slice continues at the caller's
-//     call-site instance, with parameters mapped back to argument
+//     call-site instance, whose uses include the argument
 //     expressions.
 
 // SliceSite is one sliced statement: a block of a specific function.
@@ -300,7 +299,7 @@ func (s *InterSlicer) Slice(node int, crit Criterion) (*InterSlice, error) {
 				continue
 			}
 			// Value predates the frame: climb to the caller.
-			if err := s.climb(n, dep.loc, push, sites); err != nil {
+			if err := s.climb(n, push, sites); err != nil {
 				return err
 			}
 		}
@@ -386,11 +385,10 @@ func (s *InterSlicer) descend(node int, fd *frameData, t core.Timestamp, push fu
 	return nil
 }
 
-// climb continues a dependence whose value predates the frame: if loc
-// is a parameter (or a by-reference array parameter), the slice
-// continues at the caller's call-site instance through the argument
-// expression.
-func (s *InterSlicer) climb(node int, loc cfg.Loc, push func(int, core.Timestamp), sites map[SliceSite]bool) error {
+// climb continues a dependence whose value predates the frame (a
+// parameter, or an array passed in) at the caller's call-site
+// instance, whose uses include the call's argument expressions.
+func (s *InterSlicer) climb(node int, push func(int, core.Timestamp), sites map[SliceSite]bool) error {
 	parent := s.parents[node]
 	if parent < 0 {
 		return nil // main's entry: input or undefined, nothing to add
@@ -405,76 +403,9 @@ func (s *InterSlicer) climb(node int, loc cfg.Loc, push func(int, core.Timestamp
 	if err != nil {
 		return err
 	}
-	// Map the parameter back to the argument expression of the call
-	// site, then continue the data dependence at the call-site
-	// instance for the argument's uses.
-	callBlock := pfd.path[pos-1]
-	pfn := s.TW.DCG.Fn[parent]
-	sites[SliceSite{Fn: pfn, Block: callBlock}] = true
+	sites[SliceSite{Fn: s.TW.DCG.Fn[parent], Block: pfd.path[pos-1]}] = true
 	push(parent, core.Timestamp(pos))
-
-	// Fine-grained mapping: find the call expression in the call-site
-	// block and push the defs of the specific argument's uses. The
-	// coarse push above already includes the call-site instance (whose
-	// visitDeps covers all of its uses), so the mapping here only adds
-	// precision when the block has multiple statements; with
-	// per-statement CFGs the coarse version is exact enough, but we
-	// keep the argument resolution for array locations so the caller's
-	// array identity survives renaming.
-	_ = s.argumentLocs(pfn, callBlock, s.TW.DCG.Fn[node], loc)
 	return nil
-}
-
-// argumentLocs maps a callee location (parameter or array parameter)
-// to the caller locations mentioned in the corresponding argument of
-// the call to callee inside block b of function f. Returns nil when
-// the mapping cannot be resolved.
-func (s *InterSlicer) argumentLocs(f cfg.FuncID, b cfg.BlockID, callee cfg.FuncID, loc cfg.Loc) []cfg.Loc {
-	g := s.Prog.Graph(f)
-	if g == nil {
-		return nil
-	}
-	blk := g.Block(b)
-	if blk == nil {
-		return nil
-	}
-	calleeDecl := s.Prog.Src.Funcs[callee]
-	paramIdx := -1
-	for i, p := range calleeDecl.Params {
-		if p == loc.Var {
-			paramIdx = i
-			break
-		}
-	}
-	if paramIdx < 0 {
-		return nil
-	}
-	var out []cfg.Loc
-	var scan func(e minilang.Expr)
-	scan = func(e minilang.Expr) {
-		call, ok := e.(*minilang.CallExpr)
-		if ok && call.Name == calleeDecl.Name && paramIdx < len(call.Args) {
-			var eff cfg.Effects
-			cfg.ExprEffects(call.Args[paramIdx], &eff)
-			out = append(out, eff.Uses...)
-			if loc.Array {
-				// The argument names the caller's array object.
-				if id, ok := call.Args[paramIdx].(*minilang.Ident); ok {
-					out = append(out, cfg.Loc{Var: id.Name, Array: true})
-				}
-			}
-		}
-		minilang.Walk(e, func(n minilang.Node) bool { return true })
-	}
-	for _, st := range blk.Stmts {
-		minilang.Walk(st, func(n minilang.Node) bool {
-			if e, ok := n.(minilang.Expr); ok {
-				scan(e)
-			}
-			return true
-		})
-	}
-	return out
 }
 
 func sortSites(sites []SliceSite) {

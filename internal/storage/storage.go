@@ -65,19 +65,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind resolves a backend flag value ("file", "mmap", "memory").
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "file":
-		return KindFile, nil
-	case "mmap":
-		return KindMmap, nil
-	case "memory", "mem":
-		return KindMemory, nil
-	}
-	return 0, fmt.Errorf("storage: unknown backend %q (want file, mmap, or memory)", s)
-}
-
 // Open opens path with the chosen backend kind.
 func Open(path string, kind Kind) (Backend, error) {
 	switch kind {

@@ -139,19 +139,6 @@ func TestEmptyFileBackends(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	cases := map[string]Kind{"": KindFile, "file": KindFile, "mmap": KindMmap, "memory": KindMemory, "mem": KindMemory}
-	for s, want := range cases {
-		got, err := ParseKind(s)
-		if err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseKind("tape"); err == nil {
-		t.Error("ParseKind(tape) succeeded")
-	}
-}
-
 func TestMmapCloseIdempotent(t *testing.T) {
 	path := writeTemp(t, []byte("hello"))
 	b, err := OpenMmap(path)

@@ -14,7 +14,9 @@ import (
 	"math/rand"
 
 	"twpp/internal/cfg"
+	"twpp/internal/core"
 	"twpp/internal/trace"
+	"twpp/internal/wpp"
 )
 
 // Shape selects the control structure of a generated WPP.
@@ -235,4 +237,30 @@ func Corpus(seed int64) map[Shape]*trace.RawWPP {
 		out[s] = Generate(cfg)
 	}
 	return out
+}
+
+// ExpansionProbe is a one-function TWPP that is small compacted and
+// huge expanded: main's one trace is head block 1 repeated 2^20
+// times, and head 1's dictionary chain is the blocks 1..1000. Encoded
+// as v2 it is 1,955 bytes; expanded it is about 10^9 blocks, seconds
+// of diff identity hashing.
+func ExpansionProbe() *core.TWPP {
+	path := make(wpp.PathTrace, 1<<20)
+	for i := range path {
+		path[i] = 1
+	}
+	chain := make(wpp.PathTrace, 1000)
+	for i := range chain {
+		chain[i] = cfg.BlockID(i + 1)
+	}
+	return &core.TWPP{
+		FuncNames: []string{"main"},
+		DCG:       trace.DCG{Fn: []cfg.FuncID{0}, Trace: []int{0}, Pos: []int{0}, End: []int{1}},
+		Funcs: []core.FunctionTWPP{{
+			Traces:    []*core.Trace{core.FromPath(path)},
+			Dicts:     []wpp.Dictionary{{1: chain}},
+			DictOf:    []int{0},
+			CallCount: 1,
+		}},
+	}
 }

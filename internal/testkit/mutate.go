@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -125,7 +126,7 @@ func dcgUses(t *core.TWPP) map[cfg.FuncID][]int {
 // identity resolves a trace's diff identity key, so MutationInfo
 // speaks the same language as the reports under test.
 func identity(t *core.TWPP, fn cfg.FuncID, idx int) (string, error) {
-	key, _, err := diff.TraceIdentity(&t.Funcs[fn], idx)
+	key, _, err := diff.TraceIdentity(context.Background(), &t.Funcs[fn], idx)
 	return key, err
 }
 

@@ -14,6 +14,7 @@ import (
 	"twpp/internal/cfg"
 	"twpp/internal/core"
 	"twpp/internal/dataflow"
+	"twpp/internal/passes"
 	"twpp/internal/server"
 	"twpp/internal/trace"
 	"twpp/internal/wpp"
@@ -110,7 +111,7 @@ func getJSON(ts *httptest.Server, path string, v any) error {
 }
 
 func checkFuncsParity(ts *httptest.Server, cf *wppfile.CompactedFile) error {
-	var got server.FuncsResponse
+	var got passes.FuncsResult
 	if err := getJSON(ts, "/v1/t/funcs", &got); err != nil {
 		return err
 	}
@@ -137,7 +138,7 @@ func checkFuncsParity(ts *httptest.Server, cf *wppfile.CompactedFile) error {
 }
 
 func checkTraceParity(ts *httptest.Server, fn cfg.FuncID, ft *core.FunctionTWPP) error {
-	var got server.TraceResponse
+	var got passes.TraceResult
 	if err := getJSON(ts, fmt.Sprintf("/v1/t/trace/%d", fn), &got); err != nil {
 		return err
 	}
@@ -205,7 +206,7 @@ func checkQueryParity(ts *httptest.Server, fn cfg.FuncID, ft *core.FunctionTWPP)
 		return fmt.Errorf("f%d: in-process query: %w", fn, err)
 	}
 
-	var got server.QueryResponse
+	var got passes.QueryResult
 	if err := getJSON(ts, "/v1/t/query?"+q.Encode(), &got); err != nil {
 		return fmt.Errorf("f%d: %w", fn, err)
 	}

@@ -205,7 +205,7 @@ func TestDecodeCacheEviction(t *testing.T) {
 func TestEncodeCompactedWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	_, tw := buildTWPP(t, rng, 50)
-	want, err := EncodeCompacted(tw)
+	want, err := EncodeCompactedWorkers(tw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,17 +61,13 @@ func WriteCompactedFormat(path string, t *core.TWPP, workers, format int) error 
 	return os.WriteFile(path, data, 0o644)
 }
 
-// EncodeCompacted produces the compacted file image in memory.
-func EncodeCompacted(t *core.TWPP) ([]byte, error) {
-	return EncodeCompactedWorkers(t, 1)
-}
-
 // encodeBufPool recycles per-function encode buffers across
 // EncodeCompactedWorkers calls.
 var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// EncodeCompactedWorkers is EncodeCompacted with the per-function
-// blocks encoded concurrently into pooled buffers. The index and final
+// EncodeCompactedWorkers produces the compacted file image in memory,
+// with the per-function blocks encoded concurrently into pooled
+// buffers. The index and final
 // image are assembled sequentially in hotness order, so the output is
 // byte-identical to the sequential (workers == 1) path for any worker
 // count.

@@ -118,7 +118,7 @@ func TestReadAllRejectsMissingReference(t *testing.T) {
 	}{{-1, 0}, {5, 0}, {0, 3}} {
 		tw := tinyTWPP()
 		tw.DCG.Fn[0], tw.DCG.Trace[0] = bad.fn, bad.trace
-		data, err := wppfile.EncodeCompacted(tw)
+		data, err := wppfile.EncodeCompactedWorkers(tw, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

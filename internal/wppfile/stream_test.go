@@ -40,7 +40,7 @@ func TestRawStreamReaderReplay(t *testing.T) {
 func TestStreamPipelineEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	w, tw := buildTWPP(t, rng, 60)
-	want, err := EncodeCompacted(tw)
+	want, err := EncodeCompactedWorkers(tw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,11 @@ func TestCompactOptsMatchesCompact(t *testing.T) {
 	if statsSeq != statsPar {
 		t.Errorf("stats differ: %+v vs %+v", statsSeq, statsPar)
 	}
-	seq, err := wppfile.EncodeCompacted(twSeq)
+	seq, err := wppfile.EncodeCompactedWorkers(twSeq, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := wppfile.EncodeCompacted(twPar)
+	par, err := wppfile.EncodeCompactedWorkers(twPar, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
